@@ -36,8 +36,7 @@ from .equiv import (RoundTrip, delta, eta, gamma, roundtrip_delta_eta,
 from .enumeration import (all_actions, all_gg_structures, all_homs,
                           all_xmod_gg, all_xmod_groups)
 from .report import (BoundExceededError, DomainMismatchError, GgxError,
-                     InvalidStructureError, NotComposableError, ParseError,
-                     ValidationReport)
+                     NotComposableError, ParseError, ValidationReport)
 from .serialize import dumps, load_path, loads
 
 __version__ = "0.1.0"

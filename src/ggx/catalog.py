@@ -10,8 +10,9 @@ validates under its kind's validator.
 from __future__ import annotations
 
 from .groups import (FiniteGroup, GroupAction, GroupHom, conjugation_action,
-                     cyclic, dihedral_8, klein_four, negation_action,
-                     quaternion_8, split_extension_from_action, symmetric_3,
+                     conjugation_through, cyclic, dihedral_8, klein_four,
+                     negation_action, quaternion_8,
+                     split_extension_from_action, subgroup, symmetric_3,
                      trivial_group)
 from .groupoids import (GroupGroupoid, discrete_gg, gg_conjugation_extension,
                         pair_gg)
@@ -46,14 +47,9 @@ def canonical_xmod_groups(name: str) -> XModGroups:
     if name == "s3":
         s3 = symmetric_3()
         z3_part = [0, 2, 4]  # pairs (a,0) in the rotation-by-reflection model
-        from .groups import subgroup
         sub, inc = subgroup(s3, z3_part, name="z3<s3")
-        pos = {v: i for i, v in enumerate(inc.map)}
-        rows = tuple(
-            tuple(pos[s3.add(s3.add(b, inc(i)), s3.neg(b))]
-                  for i in range(sub.order))
-            for b in range(s3.order))
-        return XModGroups(sub, s3, inc, GroupAction(s3, sub, rows))
+        return XModGroups(sub, s3, inc,
+                          conjugation_through(GroupHom.identity(s3), inc))
     g = base_group(name)
     return XModGroups(g, g, GroupHom.identity(g), GroupAction.trivial(g, g))
 

@@ -140,9 +140,7 @@ def _cmd_roundtrip(args) -> int:
     rt = fn(obj)
     if args.json:
         print(json.dumps({"ok": rt.ok, "summary": rt.summary(),
-                          "size": size(obj),
-                          "used_alternate": rt.used_alternate},
-                         sort_keys=True))
+                          "size": size(obj)}, sort_keys=True))
     else:
         print(f"{rt.summary()}, {size(obj)}")
     return 0 if rt.ok else 1

@@ -27,11 +27,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupHom, compose
-from .groupoids import (GroupGroupoid, _composable_pairs,
+from .groups import (FiniteGroup, GroupHom, compose, is_injective,
+                     is_surjective, validate_hom)
+from .groupoids import (INTERCHANGE_CHUNK, GroupGroupoid, _composable_pairs,
+                        groupoid_inverse, interchange_add, inverse_map,
                         validate_group_groupoid)
 from .report import (VALID, NotComposableError, ValidationReport, fail,
-                     nested)
+                     first_violation, nested)
 from .xmod import XModGroups
 
 
@@ -91,13 +93,12 @@ def comp_v(d: DoubleGroupGroupoid, alpha: int, beta: int) -> int:
 
 def inv_h(d: DoubleGroupGroupoid, beta: int) -> int:
     """``epsh(d0h(b)) - b + epsh(d1h(b))``, the ``(S,H)``-groupoid inverse."""
-    s = d.s
-    return s.add(s.sub(d.epsh(d.d0h(beta)), beta), d.epsh(d.d1h(beta)))
+    return groupoid_inverse(d.gg_sh(), beta)
 
 
 def inv_v(d: DoubleGroupGroupoid, alpha: int) -> int:
-    s = d.s
-    return s.add(s.sub(d.epsv(d.d0v(alpha)), alpha), d.epsv(d.d1v(alpha)))
+    """The ``(S,V)``-groupoid inverse."""
+    return groupoid_inverse(d.gg_sv(), alpha)
 
 
 def trivial_dgg(gg: GroupGroupoid) -> DoubleGroupGroupoid:
@@ -117,14 +118,6 @@ def trivial_dgg(gg: GroupGroupoid) -> DoubleGroupGroupoid:
 # Validation
 
 
-def _square(f, g, p, q, names, n):
-    """First index where ``g(f(x)) != q(p(x))`` over ``0..n-1``, or None."""
-    for x in range(n):
-        if g(f(x)) != q(p(x)):
-            return x
-    return None
-
-
 def validate_dgg(d: DoubleGroupGroupoid) -> ValidationReport:
     """Exhaustive validation of a double group-groupoid.
 
@@ -134,79 +127,120 @@ def validate_dgg(d: DoubleGroupGroupoid) -> ValidationReport:
     other direction's structure; and the three interchange laws between the
     two compositions and the group operation.
     """
-    subs = ((d.gg_sh(), "(S,H)"), (d.gg_sv(), "(S,V)"),
-            (d.gg_hp(), "(H,P)"), (d.gg_vp(), "(V,P)"))
-    for gg, where in subs:
-        rep = validate_group_groupoid(gg)
+    ggs = {"h": d.gg_sh(), "v": d.gg_sv(), "H": d.gg_hp(), "V": d.gg_vp()}
+    for key, where in (("h", "(S,H)"), ("v", "(S,V)"), ("H", "(H,P)"),
+                       ("V", "(V,P)")):
+        rep = validate_group_groupoid(ggs[key])
         if not rep.ok:
             return nested(where, rep)
 
-    dh = (d.d0h, d.d1h)
-    dv = (d.d0v, d.d1v)
-    dH = (d.d0H, d.d1H)
-    dV = (d.d0V, d.d1V)
+    dh = np.array([d.d0h.np_map, d.d1h.np_map])
+    dv = np.array([d.d0v.np_map, d.d1v.np_map])
+    dH = np.array([d.d0H.np_map, d.d1H.np_map])
+    dV = np.array([d.d0V.np_map, d.d1V.np_map])
+    epsh, epsv = d.epsh.np_map, d.epsv.np_map
+    epsH, epsV = d.epsH.np_map, d.epsV.np_map
+    two = np.arange(2)
 
-    # faces: d_i^H d_j^h = d_j^V d_i^v  : S -> P
-    for i in range(2):
-        for j in range(2):
-            x = _square(dh[j], dH[i], dv[i], dV[j], None, d.s.order)
-            if x is not None:
-                return fail("compat-dd", (i, j, x),
-                            f"d{i}H(d{j}h(x)) != d{j}V(d{i}v(x))")
-    # degeneracies against faces: epsH d_i^V = d_i^h epsv  : V -> H
-    for i in range(2):
-        x = _square(dV[i], d.epsH, d.epsv, dh[i], None, d.v.order)
-        if x is not None:
-            return fail("compat-epsH-dV", (i, x),
-                        f"epsH(d{i}V(x)) != d{i}h(epsv(x))")
-        x = _square(dH[i], d.epsV, d.epsh, dv[i], None, d.h.order)
-        if x is not None:
-            return fail("compat-dv-epsh", (i, x),
-                        f"epsV(d{i}H(x)) != d{i}v(epsh(x))")
-    for y in range(d.p.order):
-        if d.epsv(d.epsV(y)) != d.epsh(d.epsH(y)):
-            return fail("compat-eps-eps", (y,),
-                        "epsv(epsV(y)) != epsh(epsH(y))")
-
-    # functoriality of the compositions and inversions (derived laws,
-    # asserted as self-checks)
-    rep = _composition_functoriality(d)
-    if not rep.ok:
+    # faces: d_i^H d_j^h = d_j^V d_i^v : S -> P, at (i, j, x)
+    if not (rep := first_violation(
+            lambda i, j, x: fail("compat-dd", (i, j, x),
+                                 f"d{i}H(d{j}h(x)) != d{j}V(d{i}v(x))"),
+            dH[two[:, None, None], dh[None, :, :]],
+            dV[two[None, :, None], dv[:, None, :]])).ok:
         return rep
 
-    # interchange laws between the two compositions and the group operation
-    Ah, Bh, ch, chf = _composable_pairs(d.gg_sh())
-    Av, Bv, cv, cvf = _composable_pairs(d.gg_sv())
-    tbl = d.s.np_table
-    w = _interchange_add(tbl, cv, cvf, Av, Bv)
-    if w is not None:
-        return fail("interchange-add-v", w,
-                    "(b ov a) + (b1 ov a1) != (b + b1) ov (a + a1)")
-    w = _interchange_add(tbl, ch, chf, Ah, Bh)
-    if w is not None:
-        return fail("interchange-add-h", w,
-                    "(b oh a) + (b1 oh a1) != (b + b1) oh (a + a1)")
-    w = _interchange_mixed(d, Av, Bv, cv, chf)
-    if w is not None:
-        return fail("interchange-mixed", w[:4],
-                    w[4])
+    # degeneracies against faces, per i: epsH d_i^V = d_i^h epsv over V,
+    # then epsV d_i^H = d_i^v epsh over H
+    nv = d.v.order
+
+    def degeneracy(i, x):
+        if x < nv:
+            return fail("compat-epsH-dV", (i, x),
+                        f"epsH(d{i}V(x)) != d{i}h(epsv(x))")
+        return fail("compat-dv-epsh", (i, x - nv),
+                    f"epsV(d{i}H(x)) != d{i}v(epsh(x))")
+
+    if not (rep := first_violation(degeneracy, np.concatenate(
+            [epsH[dV] != dh[:, epsv], epsV[dH] != dv[:, epsh]], axis=1))).ok:
+        return rep
+    if not (rep := first_violation(
+            lambda y: fail("compat-eps-eps", (y,),
+                           "epsv(epsV(y)) != epsh(epsH(y))"),
+            epsv[epsV], epsh[epsH])).ok:
+        return rep
+
+    for rep in _derived_laws(d, ggs, dh, dv):
+        if not rep.ok:
+            return rep
     return VALID
 
 
-def _interchange_add(tbl, comp, comp_full, A, B, chunk=1024):
-    m = len(A)
-    for i0 in range(0, m, chunk):
-        sl = slice(i0, min(i0 + chunk, m))
-        lhs = tbl[np.ix_(comp[sl], comp)]
-        rhs = comp_full[tbl[np.ix_(A[sl], A)], tbl[np.ix_(B[sl], B)]]
-        if not np.array_equal(lhs, rhs):
-            bad = np.argwhere(lhs != rhs)[0]
-            i, j = i0 + int(bad[0]), int(bad[1])
-            return (int(A[i]), int(B[i]), int(A[j]), int(B[j]))
-    return None
+def _derived_laws(d: DoubleGroupGroupoid, ggs: dict, dh, dv):
+    """The reports of the derived laws, lazily and in scan order: the
+    functoriality of the compositions and inversions (asserted as
+    self-checks), then the interchange laws between the two compositions
+    and the group operation.  ``dh`` and ``dv`` stack the two face maps of
+    each direction."""
+    pairs = {k: _composable_pairs(gg) for k, gg in ggs.items()}
+    epsh, epsv = d.epsh.np_map, d.epsv.np_map
+    face = "a face map does not preserve composition"
+    degen = "a degeneracy does not preserve composition"
+    yield _preserves_composition("compat-comp-dh", face, pairs["v"], dh,
+                                 pairs["H"])
+    yield _preserves_composition("compat-comp-dv", face, pairs["h"], dv,
+                                 pairs["V"])
+    yield _preserves_composition("compat-comp-epsh", degen, pairs["H"],
+                                 epsh[None, :], pairs["v"])
+    yield _preserves_composition("compat-comp-epsv", degen, pairs["V"],
+                                 epsv[None, :], pairs["h"])
+    # each direction's inversion is functorial for the other direction
+    yield _inversion_functorial("compat-inv-h", inverse_map(ggs["h"]), dv,
+                                inverse_map(ggs["V"]), epsv, pairs["v"])
+    yield _inversion_functorial("compat-inv-v", inverse_map(ggs["v"]), dh,
+                                inverse_map(ggs["H"]), epsh, pairs["h"])
+    tbl = d.s.np_table
+    yield interchange_add(tbl, pairs["v"], "interchange-add-v",
+                          "(b ov a) + (b1 ov a1) != (b + b1) ov (a + a1)")
+    yield interchange_add(tbl, pairs["h"], "interchange-add-h",
+                          "(b oh a) + (b1 oh a1) != (b + b1) oh (a + a1)")
+    yield _interchange_mixed(d, pairs["v"], pairs["h"][3])
 
 
-def _interchange_mixed(d, Av, Bv, cv, chf, chunk=1024):
+def _preserves_composition(tag, message, pairs, maps, target_pairs):
+    """Each row ``f`` of ``maps`` sends the composite of every composable
+    pair to the composite of the images in the target groupoid; at
+    ``(row, pair)``, reported as the pair ``(a, b)``."""
+    A, B, comp, _ = pairs
+    vals = target_pairs[3][maps[:, A], maps[:, B]]
+    return first_violation(
+        lambda k, i: fail(tag, (int(A[i]), int(B[i])), message),
+        (vals < 0) | (maps[:, comp] != vals))
+
+
+def _inversion_functorial(tag, inv, faces, edge_inv, eps, other_pairs):
+    """One direction's square inversion ``inv`` commutes with the other
+    direction's face maps (at ``(x, face)``) and degeneracy, and preserves
+    the other direction's composition."""
+    if not (rep := first_violation(
+            lambda x, k: fail(tag, (x,),
+                              "inversion does not commute with a face map"),
+            faces[:, inv].T, edge_inv[faces].T)).ok:
+        return rep
+    if not (rep := first_violation(
+            lambda e: fail(tag, (e,),
+                           "inversion does not commute with a degeneracy"),
+            inv[eps], eps[edge_inv])).ok:
+        return rep
+    A, B, comp, comp_full = other_pairs
+    rhs = comp_full[inv[A], inv[B]]
+    return first_violation(
+        lambda i: fail(tag, (int(A[i]), int(B[i])),
+                       "inversion does not preserve the other composition"),
+        (rhs < 0) | (inv[comp] != rhs))
+
+
+def _interchange_mixed(d, v_pairs, chf) -> ValidationReport:
     """Check (beta ov alpha) oh (beta1 ov alpha1) == (beta oh beta1) ov
     (alpha oh alpha1) over all quadruples where both sides are defined.
 
@@ -216,99 +250,34 @@ def _interchange_mixed(d, Av, Bv, cv, chf, chunk=1024):
     compose is a structural inconsistency and is reported as such.
     """
     d0h, d1h = d.d0h.np_map, d.d1h.np_map
-    m = len(Av)
-    if m == 0:
-        return None
-    _, _, _, cvf = _composable_pairs(d.gg_sv())
     # v-composable pairs indexed by position: value cv[i] = Bv[i] ov Av[i]
-    for i0 in range(0, m, chunk):
-        sl = slice(i0, min(i0 + chunk, m))
+    Av, Bv, cv, cvf = v_pairs
+    m = len(Av)
+    for i0 in range(0, m, INTERCHANGE_CHUNK):
+        sl = slice(i0, min(i0 + INTERCHANGE_CHUNK, m))
         # grid condition: betas and alphas are h-composable pairwise
         # (rows: pairs in the chunk act as the second h-factor)
         grid = ((d1h[Bv[None, :]] == d0h[Bv[sl][:, None]])
                 & (d1h[Av[None, :]] == d0h[Av[sl][:, None]]))
-        if not grid.any():
-            continue
         rows, cols = np.nonzero(grid)
-        lhs_ok = d1h[cv[cols]] == d0h[cv[i0 + rows]]
-        if not lhs_ok.all():
-            badpos = int(np.nonzero(~lhs_ok)[0][0])
-            i, j = i0 + int(rows[badpos]), int(cols[badpos])
-            return (int(Av[i]), int(Bv[i]), int(Av[j]), int(Bv[j]),
-                    "grid of squares whose composite rows do not compose")
-        lhs = chf[cv[cols], cv[i0 + rows]]
-        bb = chf[Bv[cols], Bv[i0 + rows]]
-        aa = chf[Av[cols], Av[i0 + rows]]
-        rhs = cvf[aa, bb]
-        if (rhs < 0).any() or not np.array_equal(lhs, rhs):
-            badpos = int(np.nonzero((rhs < 0) | (lhs != rhs))[0][0])
-            i, j = i0 + int(rows[badpos]), int(cols[badpos])
-            return (int(Av[i]), int(Bv[i]), int(Av[j]), int(Bv[j]),
-                    "(b ov a) oh (b1 ov a1) != (b oh b1) ov (a oh a1)")
-    return None
+        i, j = i0 + rows, cols
 
+        def at(message):
+            return lambda p: fail(
+                "interchange-mixed",
+                (int(Av[i[p]]), int(Bv[i[p]]), int(Av[j[p]]), int(Bv[j[p]])),
+                message)
 
-def _composition_functoriality(d: DoubleGroupGroupoid) -> ValidationReport:
-    ggs = {"h": d.gg_sh(), "v": d.gg_sv(), "H": d.gg_hp(), "V": d.gg_vp()}
-    pairs = {k: _composable_pairs(g) for k, g in ggs.items()}
-
-    # d_i^h of a v-composite is the (H,P)-composite of the d_i^h images
-    checks = [
-        ("v", "H", (d.d0h, d.d1h), "compat-comp-dh"),
-        ("h", "V", (d.d0v, d.d1v), "compat-comp-dv"),
-    ]
-    for comp_dir, edge_dir, maps, tag in checks:
-        A, B, comp, _ = pairs[comp_dir]
-        _, _, _, edge_full = pairs[edge_dir]
-        for f in maps:
-            fm = f.np_map
-            vals = edge_full[fm[A], fm[B]]
-            if (vals < 0).any() or not np.array_equal(fm[comp], vals):
-                bad = np.nonzero((vals < 0) | (fm[comp] != vals))[0][0]
-                return fail(tag, (int(A[bad]), int(B[bad])),
-                            "a face map does not preserve composition")
-    # eps of an edge composite is the composite of the eps images
-    checks_eps = [
-        ("H", "v", d.epsh, "compat-comp-epsh"),
-        ("V", "h", d.epsv, "compat-comp-epsv"),
-    ]
-    for edge_dir, comp_dir, f, tag in checks_eps:
-        A, B, comp, _ = pairs[edge_dir]
-        _, _, _, sq_full = pairs[comp_dir]
-        fm = f.np_map
-        vals = sq_full[fm[A], fm[B]]
-        if (vals < 0).any() or not np.array_equal(fm[comp], vals):
-            bad = np.nonzero((vals < 0) | (fm[comp] != vals))[0][0]
-            return fail(tag, (int(A[bad]), int(B[bad])),
-                        "a degeneracy does not preserve composition")
-    # each direction's inversion is functorial for the other direction
-    inv_checks = [
-        ("h", inv_h, d.gg_sv(), d.gg_vp(), (d.d0v, d.d1v), d.epsv,
-         "compat-inv-h"),
-        ("v", inv_v, d.gg_sh(), d.gg_hp(), (d.d0h, d.d1h), d.epsh,
-         "compat-inv-v"),
-    ]
-    from .groupoids import groupoid_inverse
-    for name, invf, sq_gg, edge_gg, face_maps, eps_map, tag in inv_checks:
-        for x in range(d.s.order):
-            ix = invf(d, x)
-            for fmap in face_maps:
-                if fmap(ix) != groupoid_inverse(edge_gg, fmap(x)):
-                    return fail(tag, (x,),
-                                "inversion does not commute with a face map")
-        for e in range(edge_gg.arrows.order):
-            if invf(d, eps_map(e)) != eps_map(groupoid_inverse(edge_gg, e)):
-                return fail(tag, (e,),
-                            "inversion does not commute with a degeneracy")
-        A, B, comp, _ = pairs["v" if name == "h" else "h"]
-        comp_same = pairs["v" if name == "h" else "h"][3]
-        for i in range(len(A)):
-            a, b = int(A[i]), int(B[i])
-            lhs = invf(d, int(comp[i]))
-            rhs = comp_same[invf(d, a), invf(d, b)]
-            if rhs < 0 or lhs != int(rhs):
-                return fail(tag, (a, b),
-                            "inversion does not preserve the other composition")
+        if not (rep := first_violation(
+                at("grid of squares whose composite rows do not compose"),
+                d1h[cv[j]] != d0h[cv[i]])).ok:
+            return rep
+        lhs = chf[cv[j], cv[i]]
+        rhs = cvf[chf[Av[j], Av[i]], chf[Bv[j], Bv[i]]]
+        if not (rep := first_violation(
+                at("(b ov a) oh (b1 ov a1) != (b oh b1) ov (a oh a1)"),
+                (rhs < 0) | (lhs != rhs))).ok:
+            return rep
     return VALID
 
 
@@ -334,7 +303,6 @@ class DGGMorphism:
 
 
 def validate_dgg_morphism(m: DGGMorphism) -> ValidationReport:
-    from .groups import validate_hom
     comps = ((m.fs, m.domain.s, m.codomain.s, "fs"),
              (m.fh, m.domain.h, m.codomain.h, "fh"),
              (m.fv, m.domain.v, m.codomain.v, "fv"),
@@ -346,24 +314,21 @@ def validate_dgg_morphism(m: DGGMorphism) -> ValidationReport:
         if not rep.ok:
             return nested(where, rep)
     a, b = m.domain, m.codomain
-    squares = [
-        (a.d0h, b.d0h, m.fs, m.fh, a.s.order, "square-d0h"),
-        (a.d1h, b.d1h, m.fs, m.fh, a.s.order, "square-d1h"),
-        (a.d0v, b.d0v, m.fs, m.fv, a.s.order, "square-d0v"),
-        (a.d1v, b.d1v, m.fs, m.fv, a.s.order, "square-d1v"),
-        (a.d0H, b.d0H, m.fh, m.fp, a.h.order, "square-d0H"),
-        (a.d1H, b.d1H, m.fh, m.fp, a.h.order, "square-d1H"),
-        (a.d0V, b.d0V, m.fv, m.fp, a.v.order, "square-d0V"),
-        (a.d1V, b.d1V, m.fv, m.fp, a.v.order, "square-d1V"),
-        (a.epsh, b.epsh, m.fh, m.fs, a.h.order, "square-epsh"),
-        (a.epsv, b.epsv, m.fv, m.fs, a.v.order, "square-epsv"),
-        (a.epsH, b.epsH, m.fp, m.fh, a.p.order, "square-epsH"),
-        (a.epsV, b.epsV, m.fp, m.fv, a.p.order, "square-epsV"),
-    ]
-    for f_dom, f_cod, pre, post, n, tag in squares:
-        for x in range(n):
-            if post(f_dom(x)) != f_cod(pre(x)):
-                return fail(tag, (x,), f"{tag[7:]} does not commute")
+    # (structure map, its pre-component, its post-component), scanned in
+    # this order, each over the domain of the structure map
+    squares = (("d0h", m.fs, m.fh), ("d1h", m.fs, m.fh),
+               ("d0v", m.fs, m.fv), ("d1v", m.fs, m.fv),
+               ("d0H", m.fh, m.fp), ("d1H", m.fh, m.fp),
+               ("d0V", m.fv, m.fp), ("d1V", m.fv, m.fp),
+               ("epsh", m.fh, m.fs), ("epsv", m.fv, m.fs),
+               ("epsH", m.fp, m.fh), ("epsV", m.fp, m.fv))
+    for name, pre, post in squares:
+        rep = first_violation(
+            lambda x: fail(f"square-{name}", (x,), f"{name} does not commute"),
+            post.np_map[getattr(a, name).np_map],
+            getattr(b, name).np_map[pre.np_map])
+        if not rep.ok:
+            return rep
     return VALID
 
 
@@ -374,7 +339,6 @@ def dgg_morphism_compose(m1: DGGMorphism, m2: DGGMorphism) -> DGGMorphism:
 
 
 def is_dgg_isomorphism(m: DGGMorphism) -> bool:
-    from .groups import is_injective, is_surjective
     return (validate_dgg_morphism(m).ok
             and all(is_injective(f) and is_surjective(f)
                     for f in (m.fs, m.fh, m.fv, m.fp)))

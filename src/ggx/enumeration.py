@@ -17,14 +17,14 @@ from __future__ import annotations
 import os
 from itertools import product
 
-import numpy as np
-
 from .groups import (FiniteGroup, GroupAction, GroupHom, cyclic, dihedral_8,
                      generating_sequence, generating_words, is_hom,
                      klein_four, quaternion_8, symmetric_3)
-from .groupoids import GroupGroupoid, validate_group_groupoid
-from .report import BoundExceededError
-from .xmod import XModGG, XModGroups, validate_xmod_groups
+from .groupoids import (GGMorphism, GroupGroupoid, validate_group_groupoid,
+                        validate_morphism_squares)
+from .report import BoundExceededError, GgxError
+from .xmod import (XModGG, XModGroups, arrow_level,
+                   validate_action_compatibility, validate_xmod_groups)
 
 DEFAULT_MAX_ORDER = 8
 
@@ -33,7 +33,13 @@ def resolve_bound(max_order: int | None = None) -> int:
     if max_order is not None:
         return max_order
     env = os.environ.get("GGX_MAX_ORDER")
-    return int(env) if env else DEFAULT_MAX_ORDER
+    if not env:
+        return DEFAULT_MAX_ORDER
+    try:
+        return int(env)
+    except ValueError:
+        raise GgxError(f"GGX_MAX_ORDER must be an integer, got {env!r}") \
+            from None
 
 
 def _check_bound(bound: int, *groups: FiniteGroup) -> None:
@@ -159,54 +165,11 @@ def _boundary_candidates(ggG: GroupGroupoid, ggH: GroupGroupoid,
                          max_order: int | None):
     """(boundary-on-arrows, boundary-on-objects) pairs forming a morphism
     of group-groupoids."""
-    out = []
-    for b1 in all_homs(ggG.arrows, ggH.arrows, max_order=max_order):
-        for b0 in all_homs(ggG.objects, ggH.objects, max_order=max_order):
-            if any(ggH.d0(b1(x)) != b0(ggG.d0(x)) or
-                   ggH.d1(b1(x)) != b0(ggG.d1(x))
-                   for x in range(ggG.arrows.order)):
-                continue
-            if any(b1(ggG.eps(x)) != ggH.eps(b0(x))
-                   for x in range(ggG.objects.order)):
-                continue
-            out.append((b1, b0))
-    return out
-
-
-def _action_compatible(ggG: GroupGroupoid, ggH: GroupGroupoid,
-                       act: GroupAction) -> bool:
-    """The boundary-independent part of crossed-module validation: the
-    action respects sources, targets, identities, inverses and
-    composition."""
-    probe = XModGG(ggG, ggH,
-                   GroupHom.zero(ggG.arrows, ggH.arrows),
-                   GroupHom.zero(ggG.objects, ggH.objects), act)
-    from .xmod import (_action_interchange_violation, object_action,
-                       validate_action)
-    from .groupoids import groupoid_inverse
-    obj_act = object_action(probe)
-    if not validate_action(obj_act).ok:
-        return False
-    oact = obj_act.np_perms
-    A = act.np_perms
-    d0g, d1g = ggG.d0.np_map, ggG.d1.np_map
-    d0h, d1h = ggH.d0.np_map, ggH.d1.np_map
-    b_col = np.arange(ggH.arrows.order)[:, None]
-    if not np.array_equal(d0g[A], oact[d0h[b_col], d0g[None, :]]):
-        return False
-    if not np.array_equal(d1g[A], oact[d1h[b_col], d1g[None, :]]):
-        return False
-    for y in range(ggH.objects.order):
-        for x in range(ggG.objects.order):
-            if act.act(ggH.eps(y), ggG.eps(x)) != ggG.eps(obj_act.act(y, x)):
-                return False
-    for b in range(ggH.arrows.order):
-        binv = groupoid_inverse(ggH, b)
-        for a in range(ggG.arrows.order):
-            if groupoid_inverse(ggG, act.act(b, a)) != \
-                    act.act(binv, groupoid_inverse(ggG, a)):
-                return False
-    return _action_interchange_violation(probe) is None
+    homs0 = all_homs(ggG.objects, ggH.objects, max_order=max_order)
+    return [(b1, b0)
+            for b1 in all_homs(ggG.arrows, ggH.arrows, max_order=max_order)
+            for b0 in homs0
+            if validate_morphism_squares(GGMorphism(ggG, ggH, b1, b0)).ok]
 
 
 def all_xmod_gg(max_order: int | None = None):
@@ -232,10 +195,9 @@ def all_xmod_gg(max_order: int | None = None):
             if not boundaries:
                 continue
             for act in all_actions(ggH.arrows, ggG.arrows, max_order=bound):
-                if not _action_compatible(ggG, ggH, act):
+                if not validate_action_compatibility(ggG, ggH, act).ok:
                     continue
                 for b1, b0 in boundaries:
                     xm = XModGG(ggG, ggH, b1, b0, act)
-                    from .xmod import arrow_level, validate_xmod_groups
                     if validate_xmod_groups(arrow_level(xm)).ok:
                         yield xm

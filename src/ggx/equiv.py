@@ -11,30 +11,28 @@ explicitly and verifies that it is an isomorphism in the relevant category;
 the verifier is exhaustive, no tolerance is involved.
 
 Two of the comparison maps are written with more than one sign/order
-convention in the literature, and not every variant typechecks:
+convention in the literature, and only one variant of each typechecks:
 
-* for the square component of the ``theta . gamma`` comparison the variant
-  ``(x, b) -> x - epsh(b)`` only commutes with the face maps in degenerate
-  cases; the verifier evaluates it first all the same and falls back to
-  ``(x, b) -> x + epsh(b)``, recording which form succeeded, so the report
-  is honest about what was verified.
-* for the arrow component of the ``gamma . theta`` comparison the pair
-  order ``a -> (0, a)`` does not land in the source kernel; the verified
-  map is ``a -> (a, 0)``.
+* the square component of the ``theta . gamma`` comparison is
+  ``(x, b) -> x + epsh(b)``; the variant ``x - epsh(b)`` is not a morphism
+  once the horizontal edges have elements of order above two.
+* the arrow component of the ``gamma . theta`` comparison is
+  ``a -> (a, 0)``; the pair order ``a -> (0, a)`` does not land in the
+  source kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import (GroupAction, GroupHom, compose, is_injective,
-                     is_surjective, kernel, sd_index, semidirect_product)
-from .groupoids import GGMorphism, GroupGroupoid
+from .groups import (GroupAction, GroupHom, compose, conjugation_through,
+                     hom_restrict, is_injective, is_surjective, kernel,
+                     sd_index, semidirect_product)
+from .groupoids import GGMorphism, GroupGroupoid, object_action
 from .report import ValidationReport
-from .dgg import (DGGMorphism, DoubleGroupGroupoid, validate_dgg_morphism)
+from .dgg import DGGMorphism, DoubleGroupGroupoid, validate_dgg_morphism
 from .xmod import (XModGG, XModGGMorphism, XModGroups,
-                   is_xmod_gg_isomorphism, object_action,
-                   validate_xmod_gg_morphism)
+                   is_xmod_gg_isomorphism, validate_xmod_gg_morphism)
 from .xsq import (CrossedSquare, XSqMorphism, is_xsq_isomorphism,
                   validate_xsq_morphism)
 
@@ -46,17 +44,9 @@ class RoundTrip:
     ok: bool
     morphism: object
     report: ValidationReport
-    used_alternate: bool = False
-    notes: tuple[str, ...] = ()
 
     def summary(self) -> str:
-        head = "isomorphism verified" if self.ok else "isomorphism FAILED"
-        tail = "".join(f"; {n}" for n in self.notes)
-        return head + tail
-
-
-def _bijective(*homs: GroupHom) -> bool:
-    return all(is_injective(f) and is_surjective(f) for f in homs)
+        return "isomorphism verified" if self.ok else "isomorphism FAILED"
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +64,8 @@ def theta(xm: XModGG) -> DoubleGroupGroupoid:
     """
     G, H = xm.g, xm.h
     S = semidirect_product(G.arrows, H.arrows, xm.action)
-    V = semidirect_product(G.objects, H.objects, object_action(xm))
+    V = semidirect_product(G.objects, H.objects,
+                           object_action(xm.action, G, H))
     nh, np_ = H.arrows.order, H.objects.order
     bd1, bd0 = xm.boundary_arrows, xm.boundary_objects
 
@@ -134,7 +125,6 @@ def gamma(d: DoubleGroupGroupoid) -> XModGG:
     ``H`` acts on ``Ker d0h`` by conjugation with horizontal identities,
     ``b . x = epsh(b) + x - epsh(b)``.
     """
-    from .groups import hom_restrict
     K, incK = kernel(d.d0h)
     K0, incK0 = kernel(d.d0V)
     Gc = GroupGroupoid(K, K0,
@@ -142,18 +132,8 @@ def gamma(d: DoubleGroupGroupoid) -> XModGG:
                        hom_restrict(d.d1v, incK, incK0),
                        hom_restrict(d.epsv, incK0, incK))
     Hc = GroupGroupoid(d.h, d.p, d.d0H, d.d1H, d.epsH)
-    bd1 = compose(incK, d.d1h)
-    bd0 = compose(incK0, d.d1V)
-    pos = {v: i for i, v in enumerate(incK.map)}
-    S = d.s
-    rows = []
-    for b in range(d.h.order):
-        e = d.epsh(b)
-        ne = S.neg(e)
-        rows.append(tuple(pos[S.add(S.add(e, incK(i)), ne)]
-                          for i in range(K.order)))
-    act = GroupAction(d.h, K, tuple(rows))
-    return XModGG(Gc, Hc, bd1, bd0, act)
+    return XModGG(Gc, Hc, compose(incK, d.d1h), compose(incK0, d.d1V),
+                  conjugation_through(d.epsh, incK))
 
 
 # ---------------------------------------------------------------------------
@@ -164,43 +144,25 @@ def roundtrip_theta_gamma(d: DoubleGroupGroupoid) -> RoundTrip:
     """Build the comparison ``theta(gamma(d)) -> d`` and verify it is an
     isomorphism of double group-groupoids.
 
-    On squares the form ``(x, b) -> x - epsh(b)`` is tried first and
-    ``(x, b) -> x + epsh(b)`` second; on vertical edges the map is
+    On squares the map is ``(x, b) -> x + epsh(b)``, on vertical edges
     ``(a, y) -> a + epsV(y)``; horizontal edges and points are untouched.
     """
-    xm = gamma(d)
-    dd = theta(xm)
-    K, incK = kernel(d.d0h)
-    K0, incK0 = kernel(d.d0V)
-    nh = d.h.order
-    np_ = d.p.order
+    dd = theta(gamma(d))
+    _, incK = kernel(d.d0h)
+    _, incK0 = kernel(d.d0V)
+    nh, np_ = d.h.order, d.p.order
     S, V = d.s, d.v
-
+    fs = GroupHom(dd.s, d.s, tuple(S.add(incK(k // nh), d.epsh(k % nh))
+                                   for k in range(dd.s.order)))
     fv = GroupHom(dd.v, d.v,
                   tuple(V.add(incK0(m // np_), d.epsV(m % np_))
                         for m in range(dd.v.order)))
-    fh = GroupHom.identity(d.h)
-    fp = GroupHom.identity(d.p)
-
-    def build(sign: int) -> DGGMorphism:
-        vals = []
-        for k in range(dd.s.order):
-            x, b = incK(k // nh), d.epsh(k % nh)
-            vals.append(S.add(x, b if sign > 0 else S.neg(b)))
-        fs = GroupHom(dd.s, d.s, tuple(vals))
-        return DGGMorphism(dd, d, fs, fh, fv, fp)
-
-    stated = build(-1)
-    rep = validate_dgg_morphism(stated)
-    if rep.ok and _bijective(stated.fs, stated.fh, stated.fv, stated.fp):
-        return RoundTrip(True, stated, rep)
-    fallback = build(+1)
-    rep2 = validate_dgg_morphism(fallback)
-    ok = rep2.ok and _bijective(fallback.fs, fallback.fh, fallback.fv,
-                                fallback.fp)
-    note = (f"square map (x,b) -> x - epsh(b) fails "
-            f"({rep.describe()}); verified with (x,b) -> x + epsh(b)")
-    return RoundTrip(ok, fallback, rep2, used_alternate=True, notes=(note,))
+    m = DGGMorphism(dd, d, fs, GroupHom.identity(d.h), fv,
+                    GroupHom.identity(d.p))
+    rep = validate_dgg_morphism(m)
+    bijective = all(is_injective(f) and is_surjective(f)
+                    for f in (m.fs, m.fh, m.fv, m.fp))
+    return RoundTrip(rep.ok and bijective, m, rep)
 
 
 def roundtrip_gamma_theta(xm: XModGG) -> RoundTrip:
@@ -246,23 +208,18 @@ def delta(xm: XModGG) -> CrossedSquare:
     M, incM = kernel(H.d0)
     N, P = G.objects, H.objects
     posL = {v: i for i, v in enumerate(incL.map)}
-    posM = {v: i for i, v in enumerate(incM.map)}
 
-    lam = GroupHom(L, M, tuple(posM[xm.boundary_arrows(incL(i))]
-                               for i in range(L.order)))
+    lam = hom_restrict(xm.boundary_arrows, incL, incM)
     lam_p = compose(incL, G.d1)
     mu = compose(incM, H.d1)
     nu = xm.boundary_objects
 
-    arrG, arrH = G.arrows, H.arrows
+    arrG = G.arrows
     act_p_on_l = GroupAction(P, L, tuple(
         tuple(posL[xm.action.act(H.eps(p), incL(i))] for i in range(L.order))
         for p in range(P.order)))
-    act_p_on_m = GroupAction(P, M, tuple(
-        tuple(posM[arrH.add(arrH.add(H.eps(p), incM(i)), arrH.neg(H.eps(p)))]
-              for i in range(M.order))
-        for p in range(P.order)))
-    act_p_on_n = object_action(xm)
+    act_p_on_m = conjugation_through(H.eps, incM)
+    act_p_on_n = object_action(xm.action, G, H)
 
     hmap = tuple(
         tuple(posL[arrG.sub(xm.action.act(incM(m), G.eps(n)), G.eps(n))]

@@ -21,11 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (FiniteGroup, GroupAction, GroupHom, SplitExtension,
-                     compose, conjugation_action, kernel, sd_index,
-                     semidirect_product, trivial_group, validate_group,
-                     validate_hom, validate_split_extension)
+                     compose, conjugation_action, conjugation_through,
+                     freeze_table, kernel, sd_index, semidirect_product,
+                     trivial_group, validate_group, validate_hom,
+                     validate_split_extension)
 from .report import (VALID, NotComposableError, ValidationReport, fail,
-                     nested)
+                     first_violation, nested)
+
+# composable pairs per block of the interchange scans, which bounds the
+# size of their pair x pair grids
+INTERCHANGE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -57,8 +62,7 @@ def compose_arrows(gg: GroupGroupoid, a: int, b: int) -> int:
 
 def groupoid_inverse(gg: GroupGroupoid, a: int) -> int:
     """``eps(d0(a)) - a + eps(d1(a))``, the groupoid inverse of ``a``."""
-    arr = gg.arrows
-    return arr.add(arr.sub(gg.eps(gg.d0(a)), a), gg.eps(gg.d1(a)))
+    return int(inverse_map(gg)[a])
 
 
 def star(gg: GroupGroupoid, x: int) -> tuple[int, ...]:
@@ -98,10 +102,11 @@ def _composable_pairs(gg: GroupGroupoid):
     return A, B, comp, full
 
 
-def _first_bad_pair(A, B, lhs, rhs):
-    bad = np.nonzero(lhs != rhs)[0]
-    i = int(bad[0])
-    return int(A[i]), int(B[i])
+def inverse_map(gg: GroupGroupoid) -> np.ndarray:
+    """The groupoid inverse ``eps(d0(a)) - a + eps(d1(a))`` of every arrow."""
+    tbl, neg = gg.arrows.np_table, gg.arrows.np_neg
+    em = gg.eps.np_map
+    return tbl[tbl[em[gg.d0.np_map], neg], em[gg.d1.np_map]]
 
 
 def validate_group_groupoid(gg: GroupGroupoid) -> ValidationReport:
@@ -131,76 +136,91 @@ def validate_group_groupoid(gg: GroupGroupoid) -> ValidationReport:
             return nested(where, rep)
 
     d0m, d1m, em = gg.d0.np_map, gg.d1.np_map, gg.eps.np_map
-    for x in range(gg.objects.order):
-        if d0m[em[x]] != x:
-            return fail("sec-d0", (x,), f"d0(eps({x})) != {x}")
-        if d1m[em[x]] != x:
-            return fail("sec-d1", (x,), f"d1(eps({x})) != {x}")
+    objs = np.arange(gg.objects.order)
+    if not (rep := first_violation(
+            lambda x, k: fail(("sec-d0", "sec-d1")[k], (x,),
+                              f"d{k}(eps({x})) != {x}"),
+            np.array([d0m[em], d1m[em]]).T, objs[:, None])).ok:
+        return rep
 
-    tbl, neg = gg.arrows.np_table, gg.arrows.np_neg
+    tbl = gg.arrows.np_table
     zero_obj = gg.objects.zero
-    K0 = np.nonzero(d0m == zero_obj)[0]
-    K1 = np.nonzero(d1m == zero_obj)[0]
-    if not np.array_equal(tbl[np.ix_(K0, K1)], tbl[np.ix_(K1, K0)].T):
-        bad = np.argwhere(tbl[np.ix_(K0, K1)] != tbl[np.ix_(K1, K0)].T)[0]
-        a, b = int(K0[bad[0]]), int(K1[bad[1]])
-        return fail("ker-commute", (a, b),
-                    f"{a} in Ker d0 and {b} in Ker d1 do not commute")
+    K0 = np.flatnonzero(d0m == zero_obj)
+    K1 = np.flatnonzero(d1m == zero_obj)
+    if not (rep := first_violation(
+            lambda i, j: fail("ker-commute", (int(K0[i]), int(K1[j])),
+                              f"{K0[i]} in Ker d0 and {K1[j]} in Ker d1 do "
+                              "not commute"),
+            tbl[K0[:, None], K1], tbl[K1[:, None], K0].T)).ok:
+        return rep
 
-    A, B, comp, comp_full = _composable_pairs(gg)
+    A, B, comp, comp_full = pairs = _composable_pairs(gg)
+
+    def at_pair(tag, message):
+        return lambda i: fail(tag, (int(A[i]), int(B[i])), message)
+
     # the two composition formulas agree: b - eps(d0 b) + a == a - eps(d1 a) + b
-    alt = tbl[tbl[A, neg[em[d1m[A]]]], B]
-    if not np.array_equal(comp, alt):
-        a, b = _first_bad_pair(A, B, comp, alt)
-        return fail("comp-agree", (a, b),
-                    "the two derived composition formulas disagree")
-    if not (np.array_equal(d0m[comp], d0m[A]) and
-            np.array_equal(d1m[comp], d1m[B])):
-        bad = np.nonzero((d0m[comp] != d0m[A]) | (d1m[comp] != d1m[B]))[0]
-        a, b = int(A[bad[0]]), int(B[bad[0]])
-        return fail("comp-endpoint", (a, b),
-                    "composite has wrong source or target")
+    neg = gg.arrows.np_neg
+    if not (rep := first_violation(
+            at_pair("comp-agree",
+                    "the two derived composition formulas disagree"),
+            comp, tbl[tbl[A, neg[em[d1m[A]]]], B])).ok:
+        return rep
+    if not (rep := first_violation(
+            at_pair("comp-endpoint", "composite has wrong source or target"),
+            (d0m[comp] != d0m[A]) | (d1m[comp] != d1m[B]))).ok:
+        return rep
 
-    by_d0: dict[int, list[int]] = {}
-    for a in range(gg.arrows.order):
-        by_d0.setdefault(int(d0m[a]), []).append(a)
-    for i in range(len(A)):
-        a, b = int(A[i]), int(B[i])
-        for c in by_d0.get(int(d1m[b]), ()):
-            if comp_full[int(comp_full[a, b]), c] != comp_full[a, int(comp_full[b, c])]:
-                return fail("comp-assoc", (a, b, c),
-                            "derived composition is not associative")
+    # (i, c): the pair i followed by every arrow c composable with it
+    arrows = np.arange(gg.arrows.order)
+    then_c = d0m[None, :] == d1m[B][:, None]
+    if not (rep := first_violation(
+            lambda i, c: fail("comp-assoc", (int(A[i]), int(B[i]), c),
+                              "derived composition is not associative"),
+            then_c & (comp_full[comp[:, None], arrows[None, :]]
+                      != comp_full[A[:, None], comp_full[B[:, None],
+                                                         arrows[None, :]]]))).ok:
+        return rep
 
-    for a in range(gg.arrows.order):
-        if comp_full[a, em[d1m[a]]] != a:
+    # per arrow a: the two identity laws, then the two inverse laws
+    inv = inverse_map(gg)
+
+    def unit_law(a, k):
+        if k == 0:
             return fail("comp-identity", (a,), f"eps(d1({a})) o {a} != {a}")
-        if comp_full[em[d0m[a]], a] != a:
+        if k == 1:
             return fail("comp-identity", (a,), f"{a} o eps(d0({a})) != {a}")
-        inv = groupoid_inverse(gg, a)
-        if comp_full[inv, a] != em[d1m[a]] or comp_full[a, inv] != em[d0m[a]]:
-            return fail("comp-inverse", (a, inv),
-                        "groupoid inverse fails the identity laws")
+        return fail("comp-inverse", (a, int(inv[a])),
+                    "groupoid inverse fails the identity laws")
+
+    if not (rep := first_violation(unit_law, np.array(
+            [comp_full[arrows, em[d1m]] != arrows,
+             comp_full[em[d0m], arrows] != arrows,
+             (comp_full[inv, arrows] != em[d1m])
+             | (comp_full[arrows, inv] != em[d0m])]).T)).ok:
+        return rep
 
     # one-groupoid interchange: (b o a) + (b1 o a1) == (b + b1) o (a + a1)
-    w = _interchange_add_violation(tbl, comp, comp_full, A, B)
-    if w is not None:
-        return fail("interchange", w,
-                    "(b o a) + (b1 o a1) != (b + b1) o (a + a1)")
-    return VALID
+    return interchange_add(tbl, pairs, "interchange",
+                           "(b o a) + (b1 o a1) != (b + b1) o (a + a1)")
 
 
-def _interchange_add_violation(tbl, comp, comp_full, A, B, chunk=1024):
-    """First quadruple violating the group/composition interchange, or None."""
+def interchange_add(tbl, pairs, tag: str, message: str) -> ValidationReport:
+    """The interchange of a groupoid composition with the group operation
+    ``tbl``, over every two composable ``pairs``; the witness is
+    ``(a, b, a1, b1)``."""
+    A, B, comp, comp_full = pairs
     m = len(A)
-    for i0 in range(0, m, chunk):
-        sl = slice(i0, min(i0 + chunk, m))
-        lhs = tbl[np.ix_(comp[sl], comp)]
-        rhs = comp_full[tbl[np.ix_(A[sl], A)], tbl[np.ix_(B[sl], B)]]
-        if not np.array_equal(lhs, rhs):
-            bad = np.argwhere(lhs != rhs)[0]
-            i, j = i0 + int(bad[0]), int(bad[1])
-            return (int(A[i]), int(B[i]), int(A[j]), int(B[j]))
-    return None
+    for i0 in range(0, m, INTERCHANGE_CHUNK):
+        sl = slice(i0, min(i0 + INTERCHANGE_CHUNK, m))
+        rep = first_violation(
+            lambda i, j: fail(tag, (int(A[i0 + i]), int(B[i0 + i]),
+                                    int(A[j]), int(B[j])), message),
+            tbl[comp[sl][:, None], comp],
+            comp_full[tbl[A[sl][:, None], A], tbl[B[sl][:, None], B]])
+        if not rep.ok:
+            return rep
+    return VALID
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +252,25 @@ def validate_gg_morphism(m: GGMorphism) -> ValidationReport:
         rep = validate_hom(f)
         if not rep.ok:
             return nested(where, rep)
-    f1, f0 = m.on_arrows, m.on_objects
+    return validate_morphism_squares(m)
+
+
+def validate_morphism_squares(m: GGMorphism) -> ValidationReport:
+    """The axiom half of :func:`validate_gg_morphism`, for component maps
+    already known to be homomorphisms between the right groups: ``d0``,
+    ``d1`` (per arrow) and then ``eps`` commute with the morphism."""
+    f1, f0 = m.on_arrows.np_map, m.on_objects.np_map
     dom, cod = m.domain, m.codomain
-    for a in range(dom.arrows.order):
-        if cod.d0(f1(a)) != f0(dom.d0(a)):
-            return fail("square-d0", (a,), "d0 does not commute with the morphism")
-        if cod.d1(f1(a)) != f0(dom.d1(a)):
-            return fail("square-d1", (a,), "d1 does not commute with the morphism")
-    for x in range(dom.objects.order):
-        if f1(dom.eps(x)) != cod.eps(f0(x)):
-            return fail("square-eps", (x,), "eps does not commute with the morphism")
-    return VALID
+    if not (rep := first_violation(
+            lambda a, k: fail(("square-d0", "square-d1")[k], (a,),
+                              f"d{k} does not commute with the morphism"),
+            np.array([cod.d0.np_map[f1], cod.d1.np_map[f1]]).T,
+            np.array([f0[dom.d0.np_map], f0[dom.d1.np_map]]).T)).ok:
+        return rep
+    return first_violation(
+        lambda x: fail("square-eps", (x,),
+                       "eps does not commute with the morphism"),
+        f1[dom.eps.np_map], cod.eps.np_map[f0])
 
 
 def gg_morphism_compose(m1: GGMorphism, m2: GGMorphism) -> GGMorphism:
@@ -310,17 +338,8 @@ def xmod_from_gg(gg: GroupGroupoid):
     ``x . a = eps(x) + a - eps(x)``."""
     from .xmod import XModGroups
     K, inc = ker_d0(gg)
-    bdry = compose(inc, gg.d1)
-    pos = {v: i for i, v in enumerate(inc.map)}
-    arr = gg.arrows
-    rows = []
-    for x in range(gg.objects.order):
-        e = gg.eps(x)
-        ne = arr.neg(e)
-        rows.append(tuple(pos[arr.add(arr.add(e, inc(i)), ne)]
-                          for i in range(K.order)))
-    action = GroupAction(gg.objects, K, tuple(rows))
-    return XModGroups(K, gg.objects, bdry, action)
+    return XModGroups(K, gg.objects, compose(inc, gg.d1),
+                      conjugation_through(gg.eps, inc))
 
 
 def splitting_iso(gg: GroupGroupoid) -> GGMorphism:
@@ -383,16 +402,12 @@ def validate_split_extension_gg(ext: SplitExtensionGG) -> ValidationReport:
     return VALID
 
 
-def induced_object_action(act: GroupAction, g: GroupGroupoid,
-                          h: GroupGroupoid) -> GroupAction:
-    """From an arrow-level action of ``h`` on ``g``, the object-level action
-    ``y . x = d0(eps(y) . eps(x))``."""
-    rows = []
-    for y in range(h.objects.order):
-        ey = h.eps(y)
-        rows.append(tuple(g.d0(act.act(ey, g.eps(x)))
-                          for x in range(g.objects.order)))
-    return GroupAction(h.objects, g.objects, tuple(rows))
+def object_action(act: GroupAction, g: GroupGroupoid,
+                  h: GroupGroupoid) -> GroupAction:
+    """From an action of the arrows of ``h`` on the arrows of ``g``, the
+    derived object-level action ``y . x = d0(eps(y) . eps(x))``."""
+    rows = g.d0.np_map[act.np_perms[h.eps.np_map[:, None], g.eps.np_map]]
+    return GroupAction(h.objects, g.objects, freeze_table(rows.tolist()))
 
 
 def gg_semidirect(g: GroupGroupoid, h: GroupGroupoid,
@@ -400,7 +415,7 @@ def gg_semidirect(g: GroupGroupoid, h: GroupGroupoid,
     """Semidirect product of group-groupoids for an arrow-level action:
     arrows and objects are the two semidirect products, structure maps act
     componentwise."""
-    obj_act = induced_object_action(act, g, h)
+    obj_act = object_action(act, g, h)
     arrows = semidirect_product(g.arrows, h.arrows, act)
     objects = semidirect_product(g.objects, h.objects, obj_act)
     na, nh = h.arrows.order, h.objects.order

@@ -24,8 +24,8 @@ from itertools import product
 
 import numpy as np
 
-from .report import (VALID, BoundExceededError, DomainMismatchError,
-                     GgxError, ValidationReport, fail, nested)
+from .report import (BoundExceededError, DomainMismatchError, GgxError,
+                     ValidationReport, fail, first_violation, nested)
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -97,17 +97,8 @@ class FiniteGroup:
     def sub(self, i: int, j: int) -> int:
         return self.table[i][self.neg_table[j]]
 
-    def add_all(self, *idxs: int) -> int:
-        acc = self.zero
-        for i in idxs:
-            acc = self.table[acc][i]
-        return acc
-
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.np_table, self.np_table.T))
-
-    def element_name(self, i: int) -> str:
-        return self.elements[i]
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -138,41 +129,38 @@ def validate_group(g: FiniteGroup) -> ValidationReport:
 
     tbl = g.np_table
     full = np.arange(n)
-    for i in range(n):
-        if not np.array_equal(np.sort(tbl[i]), full):
-            return fail("latin-square", ("row", i),
-                        f"row {i} is not a permutation")
-        if not np.array_equal(np.sort(tbl[:, i]), full):
+    def not_latin(i, col):
+        if col:
             return fail("latin-square", ("col", i),
                         f"column {i} is not a permutation")
+        return fail("latin-square", ("row", i), f"row {i} is not a permutation")
 
-    identity = None
-    for e in range(n):
-        if np.array_equal(tbl[e], full) and np.array_equal(tbl[:, e], full):
-            identity = e
-            break
-    if identity is None:
+    # per i: row i, then column i
+    if not (rep := first_violation(not_latin, np.array(
+            [(np.sort(tbl, axis=1) != full).any(axis=1),
+             (np.sort(tbl, axis=0) != full[:, None]).any(axis=0)]).T)).ok:
+        return rep
+
+    identities = np.flatnonzero((tbl == full).all(axis=1)
+                                & (tbl == full[:, None]).all(axis=0))
+    if len(identities) == 0:
         return fail("identity", (), "no two-sided identity element")
+    identity = int(identities[0])
 
     left = tbl[tbl, :]      # left[i,j,k]  = (i+j)+k
     right = tbl[:, tbl]     # right[i,j,k] = i+(j+k)
-    if not np.array_equal(left, right):
-        i, j, k = map(int, np.argwhere(left != right)[0])
-        for a, b, c in product(range(n), repeat=3):
-            if tbl[tbl[a, b], c] != tbl[a, tbl[b, c]]:
-                i, j, k = a, b, c
-                break
-        return fail("associativity", (i, j, k),
-                    f"({i}+{j})+{k} != {i}+({j}+{k})")
+    if not (rep := first_violation(
+            lambda i, j, k: fail("associativity", (i, j, k),
+                                 f"({i}+{j})+{k} != {i}+({j}+{k})"),
+            left, right)).ok:
+        return rep
 
-    for i in range(n):
-        row = g.table[i]
-        if identity not in row:
-            return fail("inverse", (i,), f"{i} has no right inverse")
-        j = row.index(identity)
-        if g.table[j][i] != identity:
-            return fail("inverse", (i, j), f"{j} is not a left inverse of {i}")
-    return VALID
+    # every row is a permutation, so each i has one right inverse
+    right_inv = np.argmax(tbl == identity, axis=1)
+    return first_violation(
+        lambda i: fail("inverse", (i, int(right_inv[i])),
+                       f"{right_inv[i]} is not a left inverse of {i}"),
+        tbl[right_inv, full] != identity)
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +209,9 @@ def validate_hom(f: GroupHom) -> ValidationReport:
         i = next(i for i, v in enumerate(f.map) if not (0 <= v < m))
         return fail("malformed", (i,), f"map[{i}] out of range")
     fm = f.np_map
-    lhs = fm[f.domain.np_table]
-    rhs = f.codomain.np_table[fm[:, None], fm[None, :]]
-    if not np.array_equal(lhs, rhs):
-        a, b = map(int, np.argwhere(lhs != rhs)[0])
-        return fail("hom-law", (a, b), f"f({a}+{b}) != f({a})+f({b})")
-    return VALID
+    return first_violation(
+        lambda a, b: fail("hom-law", (a, b), f"f({a}+{b}) != f({a})+f({b})"),
+        fm[f.domain.np_table], f.codomain.np_table[fm[:, None], fm[None, :]])
 
 
 def is_hom(f: GroupHom) -> bool:
@@ -341,33 +326,51 @@ def validate_action(act: GroupAction) -> ValidationReport:
         return fail("malformed", (), "permutation entry out of range")
     P = act.np_perms
     full = np.arange(na)
-    for b in range(nb):
-        if not np.array_equal(np.sort(P[b]), full):
-            return fail("act-perm", (b,), f"row {b} is not a permutation")
-    if not np.array_equal(P[act.actor.zero], full):
-        a = int(np.argwhere(P[act.actor.zero] != full)[0])
-        return fail("act-id", (a,), "identity of the actor moves an element")
-    lhs = P[act.actor.np_table]            # (b,b',a) -> (b+b').a
-    rhs = P[:, P]                          # (b,b',a) -> b.(b'.a)
-    if not np.array_equal(lhs, rhs):
-        b, b1, a = map(int, np.argwhere(lhs != rhs)[0])
-        return fail("act-compat", (b, b1, a), f"({b}+{b1}).{a} != {b}.({b1}.{a})")
+    if not (rep := first_violation(
+            lambda b: fail("act-perm", (b,), f"row {b} is not a permutation"),
+            (np.sort(P, axis=1) != full).any(axis=1))).ok:
+        return rep
+    if not (rep := first_violation(
+            lambda a: fail("act-id", (a,),
+                           "identity of the actor moves an element"),
+            P[act.actor.zero], full)).ok:
+        return rep
+    if not (rep := first_violation(
+            lambda b, b1, a: fail("act-compat", (b, b1, a),
+                                  f"({b}+{b1}).{a} != {b}.({b1}.{a})"),
+            P[act.actor.np_table],           # (b,b',a) -> (b+b').a
+            P[:, P])).ok:                    # (b,b',a) -> b.(b'.a)
+        return rep
     TA = act.target.np_table
-    lhs = P[:, TA]                                     # b.(a+a')
-    rhs = TA[P[:, :, None], P[:, None, :]]             # b.a + b.a'
-    if not np.array_equal(lhs, rhs):
-        b, a, a1 = map(int, np.argwhere(lhs != rhs)[0])
-        return fail("act-auto", (b, a, a1), f"{b}.({a}+{a1}) != {b}.{a}+{b}.{a1}")
-    return VALID
+    return first_violation(
+        lambda b, a, a1: fail("act-auto", (b, a, a1),
+                              f"{b}.({a}+{a1}) != {b}.{a}+{b}.{a1}"),
+        P[:, TA],                                  # b.(a+a')
+        TA[P[:, :, None], P[:, None, :]])          # b.a + b.a'
+
+
+def conjugation_through(v: GroupHom, incl: GroupHom) -> GroupAction:
+    """The action ``x . k = v(x) + i(k) - v(x)`` of the domain of ``v`` on
+    the domain of the inclusion ``i = incl``, both maps landing in the same
+    group; each conjugate is read back through ``i``.
+
+    Raises if a conjugate leaves the image of ``i``.
+    """
+    tbl, neg = v.codomain.np_table, v.codomain.np_neg
+    vm, im = v.np_map, incl.np_map
+    conj = tbl[tbl[vm[:, None], im[None, :]], neg[vm][:, None]]
+    index = np.full(v.codomain.order, -1, dtype=np.int64)
+    index[im] = np.arange(len(im))
+    rows = index[conj]
+    if (rows < 0).any():
+        raise GgxError("a conjugate of a subgroup element left the subgroup")
+    return GroupAction(v.domain, incl.domain, freeze_table(rows.tolist()))
 
 
 def conjugation_action(g: FiniteGroup) -> GroupAction:
     """The action ``b . a = b + a - b`` of a group on itself."""
-    rows = []
-    for b in range(g.order):
-        nb = g.neg(b)
-        rows.append(tuple(g.add(g.add(b, a), nb) for a in range(g.order)))
-    return GroupAction(g, g, tuple(rows))
+    ident = GroupHom.identity(g)
+    return conjugation_through(ident, ident)
 
 
 # ---------------------------------------------------------------------------
@@ -433,44 +436,31 @@ def validate_split_extension(ext: SplitExtension) -> ValidationReport:
         rep = validate_hom(f)
         if not rep.ok:
             return nested(where, rep)
-    if not is_injective(ext.inclusion):
-        dup = sorted(v for v in set(ext.inclusion.map)
-                     if ext.inclusion.map.count(v) > 1)
-        return fail("injective", (dup[0],), "inclusion is not injective")
-    if not is_surjective(ext.projection):
-        missing = next(h for h in range(ext.quotient_group.order)
-                       if h not in set(ext.projection.map))
-        return fail("surjective", (missing,), "projection is not surjective")
-    img = set(ext.inclusion.map)
-    ker = {k for k, v in enumerate(ext.projection.map)
-           if v == ext.quotient_group.zero}
-    if img != ker:
-        w = min(img.symmetric_difference(ker))
-        return fail("exact", (w,), "image of inclusion != kernel of projection")
-    for h in range(ext.quotient_group.order):
-        if ext.projection(ext.section(h)) != h:
-            return fail("section", (h,), f"p(s({h})) != {h}")
-    return VALID
+    nk, nq = ext.total_group.order, ext.quotient_group.order
+    im, pm = ext.inclusion.np_map, ext.projection.np_map
+    if not (rep := first_violation(
+            lambda v: fail("injective", (v,), "inclusion is not injective"),
+            np.bincount(im, minlength=nk) > 1)).ok:
+        return rep
+    if not (rep := first_violation(
+            lambda h: fail("surjective", (h,),
+                           "projection is not surjective"),
+            np.bincount(pm, minlength=nq) == 0)).ok:
+        return rep
+    if not (rep := first_violation(
+            lambda w: fail("exact", (w,),
+                           "image of inclusion != kernel of projection"),
+            np.bincount(im, minlength=nk) > 0,
+            pm == ext.quotient_group.zero)).ok:
+        return rep
+    return first_violation(
+        lambda h: fail("section", (h,), f"p(s({h})) != {h}"),
+        pm[ext.section.np_map], np.arange(nq))
 
 
 def derived_action(ext: SplitExtension) -> GroupAction:
     """The action ``b . a = s(b) + a - s(b)`` read back through the inclusion."""
-    K, H, G = ext.total_group, ext.quotient_group, ext.kernel_group
-    pos = {v: i for i, v in enumerate(ext.inclusion.map)}
-    rows = []
-    for b in range(H.order):
-        sb = ext.section(b)
-        nsb = K.neg(sb)
-        row = []
-        for a in range(G.order):
-            t = K.add(K.add(sb, ext.inclusion(a)), nsb)
-            if t not in pos:
-                raise GgxError(
-                    "conjugate of a kernel element left the kernel; "
-                    "the extension is inconsistent")
-            row.append(pos[t])
-        rows.append(tuple(row))
-    return GroupAction(H, G, tuple(rows))
+    return conjugation_through(ext.section, ext.inclusion)
 
 
 def split_extension_from_action(a: FiniteGroup, b: FiniteGroup,

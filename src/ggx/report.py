@@ -2,13 +2,17 @@
 
 Every validator returns a :class:`ValidationReport` instead of raising, so
 callers (tests, the CLI) can inspect which axiom failed and on which
-witness.  Validators scan in canonical index order, which makes the first
-reported witness deterministic.
+witness.  Every axiom check goes through :func:`first_violation`, which
+reports the first violation in row-major order over the quantified
+variables, so the reported witness is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
 
 
 class GgxError(Exception):
@@ -36,14 +40,6 @@ class DomainMismatchError(GgxError):
 
 class BoundExceededError(GgxError):
     """An enumeration was requested beyond the configured order bound."""
-
-
-class InvalidStructureError(GgxError):
-    """A structure failed validation where a valid one was required."""
-
-    def __init__(self, report: "ValidationReport"):
-        self.report = report
-        super().__init__(report.describe())
 
 
 @dataclass(frozen=True)
@@ -79,10 +75,6 @@ class ValidationReport:
             "message": self.message,
         }
 
-    def require(self) -> None:
-        if not self.ok:
-            raise InvalidStructureError(self)
-
 
 VALID = ValidationReport(ok=True)
 
@@ -91,6 +83,27 @@ def fail(axiom: str, witness: tuple = (), message: str = "",
          where: str = "") -> ValidationReport:
     return ValidationReport(ok=False, axiom=axiom, where=where,
                             witness=witness, message=message)
+
+
+def first_violation(report: Callable[..., ValidationReport], lhs,
+                    rhs=None) -> ValidationReport:
+    """Decide one axiom over a grid of quantified variables.
+
+    ``lhs`` is a boolean array that is true where the axiom is violated,
+    or, with ``rhs``, one side of an equation that must hold entrywise.
+    Returns :data:`VALID` when nothing is violated, and otherwise
+    ``report(*index)`` at the first violation in row-major order, which is
+    the order of nested loops over the same axes.  Several laws over the
+    same variables share one array: stacked on a trailing axis when each
+    value of the variables is tested against all of them in turn, on a
+    leading axis when each law is tested over all values before the next;
+    ``report`` tells them apart by that index.
+    """
+    bad = np.asarray(lhs) if rhs is None else np.not_equal(lhs, rhs)
+    if not np.count_nonzero(bad):
+        return VALID
+    index = np.unravel_index(int(bad.argmax()), bad.shape)
+    return report(*(int(i) for i in index))
 
 
 def nested(where: str, inner: ValidationReport) -> ValidationReport:

@@ -27,13 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (FiniteGroup, GroupAction, GroupHom, compose,
-                     conjugation_action, sd_index, subgroup,
-                     validate_action, validate_group, validate_hom)
-from .groupoids import (GGMorphism, GroupGroupoid, discrete_gg,
-                        gg_morphism_compose, groupoid_inverse, pair_gg,
-                        trivial_gg, validate_gg_morphism,
-                        validate_group_groupoid)
-from .report import VALID, GgxError, ValidationReport, fail, nested
+                     conjugation_action, conjugation_through, hom_restrict,
+                     sd_index, subgroup, validate_action, validate_group,
+                     validate_hom)
+from .groupoids import (GGMorphism, GroupGroupoid, _composable_pairs,
+                        discrete_gg, gg_morphism_compose, inverse_map,
+                        object_action, pair_gg, trivial_gg,
+                        validate_gg_morphism, validate_group_groupoid)
+from .report import (VALID, GgxError, ValidationReport, fail,
+                     first_violation, nested)
+
+# composable pairs of H per block of the action interchange scan
+ACTION_INTERCHANGE_CHUNK = 512
 
 
 # ---------------------------------------------------------------------------
@@ -75,20 +80,19 @@ def validate_xmod_groups(xm: XModGroups) -> ValidationReport:
     TA, negA = xm.a.np_table, xm.a.np_neg
     nb, na = xm.b.order, xm.a.order
 
-    lhs = bd[P]                                            # bdry(b . a)
     b_col = np.arange(nb)[:, None]
-    rhs = TB[TB[b_col, bd[None, :]], negB[b_col]]          # b + bdry(a) - b
-    if not np.array_equal(lhs, rhs):
-        b, a = map(int, np.argwhere(lhs != rhs)[0])
-        return fail("CM1", (b, a), f"bdry({b}.{a}) != {b}+bdry({a})-{b}")
+    if not (rep := first_violation(
+            lambda b, a: fail("CM1", (b, a),
+                              f"bdry({b}.{a}) != {b}+bdry({a})-{b}"),
+            bd[P],                                         # bdry(b . a)
+            TB[TB[b_col, bd[None, :]], negB[b_col]])).ok:  # b + bdry(a) - b
+        return rep
 
-    lhs = P[bd, :]                                         # bdry(a) . a1
     a_col = np.arange(na)[:, None]
-    rhs = TA[TA[a_col, np.arange(na)[None, :]], negA[a_col]]   # a + a1 - a
-    if not np.array_equal(lhs, rhs):
-        a, a1 = map(int, np.argwhere(lhs != rhs)[0])
-        return fail("CM2", (a, a1), f"bdry({a}).{a1} != {a}+{a1}-{a}")
-    return VALID
+    return first_violation(
+        lambda a, a1: fail("CM2", (a, a1), f"bdry({a}).{a1} != {a}+{a1}-{a}"),
+        P[bd, :],                                              # bdry(a) . a1
+        TA[TA[a_col, np.arange(na)[None, :]], negA[a_col]])    # a + a1 - a
 
 
 @dataclass(frozen=True)
@@ -115,17 +119,15 @@ def validate_xmod_groups_morphism(m: XModGroupsMorphism) -> ValidationReport:
         rep = validate_hom(f)
         if not rep.ok:
             return nested(where, rep)
-    for a in range(m.domain.a.order):
-        if m.f2(m.domain.boundary(a)) != m.codomain.boundary(m.f1(a)):
-            return fail("square-boundary", (a,),
-                        "f2 o bdry != bdry' o f1")
-    for b in range(m.domain.b.order):
-        for a in range(m.domain.a.order):
-            if m.f1(m.domain.action.act(b, a)) != \
-                    m.codomain.action.act(m.f2(b), m.f1(a)):
-                return fail("equivariance", (b, a),
-                            "f1(b.a) != f2(b).f1(a)")
-    return VALID
+    f1, f2 = m.f1.np_map, m.f2.np_map
+    if not (rep := first_violation(
+            lambda a: fail("square-boundary", (a,), "f2 o bdry != bdry' o f1"),
+            f2[m.domain.boundary.np_map], m.codomain.boundary.np_map[f1])).ok:
+        return rep
+    return first_violation(
+        lambda b, a: fail("equivariance", (b, a), "f1(b.a) != f2(b).f1(a)"),
+        f1[m.domain.action.np_perms],
+        m.codomain.action.np_perms[f2[:, None], f1[None, :]])
 
 
 def xmod_groups_morphism_compose(m1, m2) -> XModGroupsMorphism:
@@ -160,23 +162,12 @@ def arrow_level(xm: XModGG) -> XModGroups:
     return XModGroups(xm.g.arrows, xm.h.arrows, xm.boundary_arrows, xm.action)
 
 
-def object_action(xm: XModGG) -> GroupAction:
-    """The derived object-level action ``y . x = d0(eps(y) . eps(x))``."""
-    rows = []
-    for y in range(xm.h.objects.order):
-        ey = xm.h.eps(y)
-        rows.append(tuple(xm.g.d0(xm.action.act(ey, xm.g.eps(x)))
-                          for x in range(xm.g.objects.order)))
-    return GroupAction(xm.h.objects, xm.g.objects, tuple(rows))
-
-
 def validate_xmod_gg(xm: XModGG) -> ValidationReport:
     """Exhaustive validation.
 
     Scan order: the two group-groupoids, the boundary morphism, the arrow
-    action, the derived object action, the four action/groupoid
-    compatibility laws (sources, targets, identities, inverses), the
-    action/composition interchange, then CM1 and CM2 at the arrow level.
+    action, then :func:`validate_action_compatibility`, then CM1 and CM2
+    at the arrow level.
     """
     for gg, where in ((xm.g, "g"), (xm.h, "h")):
         rep = validate_group_groupoid(gg)
@@ -190,80 +181,81 @@ def validate_xmod_gg(xm: XModGG) -> ValidationReport:
     rep = validate_action(xm.action)
     if not rep.ok:
         return nested("action", rep)
+    rep = validate_action_compatibility(xm.g, xm.h, xm.action)
+    if not rep.ok:
+        return rep
+    return validate_xmod_groups(arrow_level(xm))  # CM1 / CM2 tags unchanged
 
-    obj_act = object_action(xm)
+
+def validate_action_compatibility(G: GroupGroupoid, H: GroupGroupoid,
+                                  action: GroupAction) -> ValidationReport:
+    """The boundary-independent half of :func:`validate_xmod_gg`, for an
+    action of the arrows of ``H`` on the arrows of ``G`` by automorphisms.
+
+    Scan order: the derived object action, the four action/groupoid
+    compatibility laws (sources, targets, identities, inverses), then the
+    action/composition interchange.
+    """
+    obj_act = object_action(action, G, H)
     rep = validate_action(obj_act)
     if not rep.ok:
         return nested("object-action", rep)
 
-    G, H = xm.g, xm.h
-    act = xm.action.np_perms
+    act = action.np_perms
     oact = obj_act.np_perms
-    d0g, d1g = G.d0.np_map, G.d1.np_map
-    d0h, d1h = H.d0.np_map, H.d1.np_map
-    nh = H.arrows.order
+    # (k, b, a): all of act-d0 before act-d1
+    dG = np.array([G.d0.np_map, G.d1.np_map])
+    dH = np.array([H.d0.np_map, H.d1.np_map])
+    if not (rep := first_violation(
+            lambda k, b, a: fail(f"act-d{k}", (b, a),
+                                 f"d{k}({b}.{a}) != d{k}({b}).d{k}({a})"),
+            dG[:, act], oact[dH[:, :, None], dG[:, None, :]])).ok:
+        return rep
 
-    b_col = np.arange(nh)[:, None]
-    if not np.array_equal(d0g[act], oact[d0h[b_col], d0g[None, :]]):
-        b, a = map(int, np.argwhere(d0g[act] != oact[d0h[b_col], d0g[None, :]])[0])
-        return fail("act-d0", (b, a), f"d0({b}.{a}) != d0({b}).d0({a})")
-    if not np.array_equal(d1g[act], oact[d1h[b_col], d1g[None, :]]):
-        b, a = map(int, np.argwhere(d1g[act] != oact[d1h[b_col], d1g[None, :]])[0])
-        return fail("act-d1", (b, a), f"d1({b}.{a}) != d1({b}).d1({a})")
+    eg, eh = G.eps.np_map, H.eps.np_map
+    if not (rep := first_violation(
+            lambda y, x: fail("act-eps", (y, x),
+                              "identity arrows are not sent to identity "
+                              "arrows"),
+            act[eh[:, None], eg], eg[oact])).ok:
+        return rep
 
-    for y in range(H.objects.order):
-        for x in range(G.objects.order):
-            if xm.action.act(H.eps(y), G.eps(x)) != G.eps(obj_act.act(y, x)):
-                return fail("act-eps", (y, x),
-                            "identity arrows are not sent to identity arrows")
-
-    for b in range(nh):
-        binv = groupoid_inverse(H, b)
-        for a in range(G.arrows.order):
-            lhs = groupoid_inverse(G, xm.action.act(b, a))
-            rhs = xm.action.act(binv, groupoid_inverse(G, a))
-            if lhs != rhs:
-                return fail("act-inv", (b, a),
-                            "(b.a)^-1 != b^-1 . a^-1 (groupoid inverses)")
-
-    w = _action_interchange_violation(xm)
-    if w is not None:
-        return fail("act-interchange", w,
-                    "(b o b1).(a o a1) != (b.a) o (b1.a1)")
-
-    rep = validate_xmod_groups(arrow_level(xm))
-    if not rep.ok:
-        return rep  # CM1 / CM2 tags pass through unchanged
-    return VALID
+    inv_g, inv_h = inverse_map(G), inverse_map(H)
+    if not (rep := first_violation(
+            lambda b, a: fail("act-inv", (b, a),
+                              "(b.a)^-1 != b^-1 . a^-1 (groupoid inverses)"),
+            inv_g[act], act[inv_h[:, None], inv_g])).ok:
+        return rep
+    return _action_interchange(G, H, act)
 
 
-def _action_interchange_violation(xm: XModGG, chunk: int = 512):
-    """First quadruple violating the action/composition interchange.
+def _action_interchange(G: GroupGroupoid, H: GroupGroupoid,
+                        act: np.ndarray) -> ValidationReport:
+    """The action/composition interchange, with witness ``(b, b1, a, a1)``.
 
     Quantified over pairs where both sides are defined; compatibility of
     sources and targets (checked beforehand) makes the two sides defined
     simultaneously.
     """
-    from .groupoids import _composable_pairs
-    AH, BH, compH, _ = _composable_pairs(xm.h)
-    AG, BG, compG, compG_full = _composable_pairs(xm.g)
-    if len(AH) == 0 or len(AG) == 0:
-        return None
-    act = xm.action.np_perms
-    for i0 in range(0, len(AH), chunk):
-        sl = slice(i0, min(i0 + chunk, len(AH)))
-        lhs = act[compH[sl][:, None], compG[None, :]]
+    AH, BH, compH, _ = _composable_pairs(H)
+    AG, BG, compG, compG_full = _composable_pairs(G)
+    for i0 in range(0, len(AH), ACTION_INTERCHANGE_CHUNK):
+        sl = slice(i0, min(i0 + ACTION_INTERCHANGE_CHUNK, len(AH)))
+
+        def report(i, j):
+            return fail("act-interchange",
+                        (int(BH[i0 + i]), int(AH[i0 + i]), int(BG[j]),
+                         int(AG[j])),
+                        "(b o b1).(a o a1) != (b.a) o (b1.a1)")
+
         rhs = compG_full[act[AH[sl][:, None], AG[None, :]],
                          act[BH[sl][:, None], BG[None, :]]]
-        if (rhs < 0).any():
-            bad = np.argwhere(rhs < 0)[0]
-            i, j = i0 + int(bad[0]), int(bad[1])
-            return (int(BH[i]), int(AH[i]), int(BG[j]), int(AG[j]))
-        if not np.array_equal(lhs, rhs):
-            bad = np.argwhere(lhs != rhs)[0]
-            i, j = i0 + int(bad[0]), int(bad[1])
-            return (int(BH[i]), int(AH[i]), int(BG[j]), int(AG[j]))
-    return None
+        if not (rep := first_violation(report, rhs < 0)).ok:
+            return rep
+        if not (rep := first_violation(
+                report, act[compH[sl][:, None], compG[None, :]], rhs)).ok:
+            return rep
+    return VALID
 
 
 def induced_actions(xm: XModGG) -> tuple[GroupAction, GroupAction, GroupAction]:
@@ -273,7 +265,7 @@ def induced_actions(xm: XModGG) -> tuple[GroupAction, GroupAction, GroupAction]:
     * objects of H on arrows of G:   ``y . a = eps(y) . a``
     * arrows of H on objects of G:   ``b . x = d1(b) . x``
     """
-    obj_on_obj = object_action(xm)
+    obj_on_obj = object_action(xm.action, xm.g, xm.h)
     rows = tuple(tuple(xm.action.act(xm.h.eps(y), a)
                        for a in range(xm.g.arrows.order))
                  for y in range(xm.h.objects.order))
@@ -289,7 +281,7 @@ def object_level_xmod(xm: XModGG) -> XModGroups:
     """The object-level crossed module ``(G0, H0, bdry0)`` with the derived
     object action."""
     return XModGroups(xm.g.objects, xm.h.objects, xm.boundary_objects,
-                      object_action(xm))
+                      object_action(xm.action, xm.g, xm.h))
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +406,11 @@ def inclusion_xmod(gg: GroupGroupoid, arrow_indices,
                 raise GgxError(f"object subgroup not normal: witness ({g},{x})")
     sub_arr, inc_arr = subgroup(gg.arrows, arr_idx, name=f"n[{gg.arrows.name}]")
     sub_obj, inc_obj = subgroup(gg.objects, obj_idx, name=f"n[{gg.objects.name}]")
-    from .groups import hom_restrict
     sub_gg = GroupGroupoid(sub_arr, sub_obj,
                            hom_restrict(gg.d0, inc_arr, inc_obj),
                            hom_restrict(gg.d1, inc_arr, inc_obj),
                            hom_restrict(gg.eps, inc_obj, inc_arr))
-    pos = {v: i for i, v in enumerate(inc_arr.map)}
-    arr = gg.arrows
-    rows = tuple(tuple(pos[arr.add(arr.add(b, inc_arr(i)), arr.neg(b))]
-                       for i in range(sub_arr.order))
-                 for b in range(arr.order))
-    act = GroupAction(gg.arrows, sub_arr, rows)
+    act = conjugation_through(GroupHom.identity(gg.arrows), inc_arr)
     return XModGG(sub_gg, gg, inc_arr, inc_obj, act)
 
 

@@ -32,10 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .groups import (FiniteGroup, GroupAction, GroupHom, Table, compose,
-                     hom_restrict, subgroup, validate_action,
+                     conjugation_through, hom_restrict, is_injective,
+                     is_surjective, subgroup, validate_action,
                      validate_group, validate_hom)
-from .report import VALID, GgxError, ValidationReport, fail, nested
+from .report import (GgxError, ValidationReport, fail, first_violation,
+                     nested)
 from .xmod import XModGroups, validate_xmod_groups
 
 
@@ -53,19 +57,6 @@ class CrossedSquare:
     act_p_on_m: GroupAction
     act_p_on_n: GroupAction
     hmap: Table
-
-    # induced actions, materialized so the axioms are table lookups
-    def act_m_on_l(self, m: int, l: int) -> int:
-        return self.act_p_on_l.act(self.mu(m), l)
-
-    def act_n_on_l(self, n: int, l: int) -> int:
-        return self.act_p_on_l.act(self.nu(n), l)
-
-    def act_m_on_n(self, m: int, n: int) -> int:
-        return self.act_p_on_n.act(self.mu(m), n)
-
-    def act_n_on_m(self, n: int, m: int) -> int:
-        return self.act_p_on_m.act(self.nu(n), m)
 
     def h(self, m: int, n: int) -> int:
         return self.hmap[m][n]
@@ -108,20 +99,24 @@ def validate_xsq(xs: CrossedSquare) -> ValidationReport:
             or any(not (0 <= v < xs.l.order) for r in xs.hmap for v in r)):
         return fail("malformed", (), "pairing table has wrong shape or range")
 
-    for l in range(xs.l.order):
-        if xs.nu(xs.lam_prime(l)) != xs.mu(xs.lam(l)):
-            return fail("square-commute", (l,), "nu.lam' != mu.lam")
+    lam, lamp = xs.lam.np_map, xs.lam_prime.np_map
+    mu, nu = xs.mu.np_map, xs.nu.np_map
+    if not (rep := first_violation(
+            lambda l: fail("square-commute", (l,), "nu.lam' != mu.lam"),
+            nu[lamp], mu[lam])).ok:
+        return rep
 
     L, M, N, P = xs.l, xs.m, xs.n, xs.p
-    # CS1: equivariance of lam and lam'
-    for p in range(P.order):
-        for l in range(L.order):
-            if xs.lam(xs.act_p_on_l.act(p, l)) != \
-                    xs.act_p_on_m.act(p, xs.lam(l)):
-                return fail("CS1", (p, l), "lam is not P-equivariant")
-            if xs.lam_prime(xs.act_p_on_l.act(p, l)) != \
-                    xs.act_p_on_n.act(p, xs.lam_prime(l)):
-                return fail("CS1", (p, l), "lam' is not P-equivariant")
+    PL = xs.act_p_on_l.np_perms
+    PM = xs.act_p_on_m.np_perms
+    PN = xs.act_p_on_n.np_perms
+    # CS1: equivariance of lam and lam', at (p, l, law)
+    cs1_messages = ("lam is not P-equivariant", "lam' is not P-equivariant")
+    if not (rep := first_violation(
+            lambda p, l, k: fail("CS1", (p, l), cs1_messages[k]),
+            np.stack([lam[PL], lamp[PL]], axis=-1),
+            np.stack([PM[:, lam], PN[:, lamp]], axis=-1))).ok:
+        return rep
     # CS1: the three crossed modules over P
     for xm, which in ((XModGroups(M, P, xs.mu, xs.act_p_on_m), "mu"),
                       (XModGroups(N, P, xs.nu, xs.act_p_on_n), "nu"),
@@ -132,48 +127,52 @@ def validate_xsq(xs: CrossedSquare) -> ValidationReport:
             return fail("CS1", rep.witness,
                         f"({which}) is not a crossed module: {rep.axiom}")
 
-    # CS2
-    for m in range(M.order):
-        for n in range(N.order):
-            h = xs.h(m, n)
-            if xs.lam(h) != M.add(m, xs.act_n_on_m(n, M.neg(m))):
-                return fail("CS2", (m, n), "lam h(m,n) != m + n.(-m)")
-            if xs.lam_prime(h) != N.sub(xs.act_m_on_n(m, n), n):
-                return fail("CS2", (m, n), "lam' h(m,n) != m.n - n")
-    # CS3
-    for l in range(L.order):
-        for n in range(N.order):
-            if xs.h(xs.lam(l), n) != L.add(l, xs.act_n_on_l(n, L.neg(l))):
-                return fail("CS3", (l, n), "h(lam(l), n) != l + n.(-l)")
-        for m in range(M.order):
-            if xs.h(m, xs.lam_prime(l)) != L.sub(xs.act_m_on_l(m, l), l):
-                return fail("CS3", (m, l), "h(m, lam'(l)) != m.l - l")
+    h = np.array(xs.hmap, dtype=np.int64).reshape(M.order, N.order)
+    TL, TM, TN = L.np_table, M.np_table, N.np_table
+    negL, negM, negN = L.np_neg, M.np_neg, N.np_neg
+    ls, ms, ns = np.arange(L.order), np.arange(M.order), np.arange(N.order)
+    # CS2, at (m, n, law)
+    cs2_messages = ("lam h(m,n) != m + n.(-m)", "lam' h(m,n) != m.n - n")
+    if not (rep := first_violation(
+            lambda m, n, k: fail("CS2", (m, n), cs2_messages[k]),
+            np.stack([lam[h], lamp[h]], axis=-1),
+            np.stack([TM[ms[:, None], PM[nu[None, :], negM[:, None]]],
+                      TN[PN[mu[:, None], ns[None, :]], negN[None, :]]],
+                     axis=-1))).ok:
+        return rep
+    # CS3: per l, h(lam(l), n) over every n, then h(m, lam'(l)) over every m
+    nn = N.order
+
+    def cs3(l, j):
+        if j < nn:
+            return fail("CS3", (l, j), "h(lam(l), n) != l + n.(-l)")
+        return fail("CS3", (j - nn, l), "h(m, lam'(l)) != m.l - l")
+
+    if not (rep := first_violation(cs3, np.concatenate([
+            h[lam[:, None], ns[None, :]]
+            != TL[ls[:, None], PL[nu[None, :], negL[:, None]]],
+            (h[ms[:, None], lamp[None, :]]
+             != TL[PL[mu[:, None], ls[None, :]], negL[None, :]]).T],
+            axis=1))).ok:
+        return rep
     # CS4
-    for m in range(M.order):
-        for m1 in range(M.order):
-            for n in range(N.order):
-                lhs = xs.h(M.add(m, m1), n)
-                rhs = L.add(xs.act_m_on_l(m, xs.h(m1, n)), xs.h(m, n))
-                if lhs != rhs:
-                    return fail("CS4", (m, m1, n),
-                                "h(m+m',n) != m.h(m',n) + h(m,n)")
-    for m in range(M.order):
-        for n in range(N.order):
-            for n1 in range(N.order):
-                lhs = xs.h(m, N.add(n, n1))
-                rhs = L.add(xs.h(m, n), xs.act_n_on_l(n, xs.h(m, n1)))
-                if lhs != rhs:
-                    return fail("CS4", (m, n, n1),
-                                "h(m,n+n') != h(m,n) + n.h(m,n')")
+    if not (rep := first_violation(
+            lambda m, m1, n: fail("CS4", (m, m1, n),
+                                  "h(m+m',n) != m.h(m',n) + h(m,n)"),
+            h[TM[:, :, None], ns[None, None, :]],
+            TL[PL[mu[:, None, None], h[None, :, :]], h[:, None, :]])).ok:
+        return rep
+    if not (rep := first_violation(
+            lambda m, n, n1: fail("CS4", (m, n, n1),
+                                  "h(m,n+n') != h(m,n) + n.h(m,n')"),
+            h[ms[:, None, None], TN[None, :, :]],
+            TL[h[:, :, None], PL[nu[None, :, None], h[:, None, :]]])).ok:
+        return rep
     # CS5
-    for p in range(P.order):
-        for m in range(M.order):
-            for n in range(N.order):
-                lhs = xs.h(xs.act_p_on_m.act(p, m), xs.act_p_on_n.act(p, n))
-                if lhs != xs.act_p_on_l.act(p, xs.h(m, n)):
-                    return fail("CS5", (p, m, n),
-                                "h(p.m, p.n) != p.h(m,n)")
-    return VALID
+    return first_violation(
+        lambda p, m, n: fail("CS5", (p, m, n), "h(p.m, p.n) != p.h(m,n)"),
+        h[PM[:, :, None], PN[:, None, :]],
+        PL[np.arange(P.order)[:, None, None], h[None, :, :]])
 
 
 # ---------------------------------------------------------------------------
@@ -211,33 +210,47 @@ def validate_xsq_morphism(m: XSqMorphism) -> ValidationReport:
         if not rep.ok:
             return nested(where, rep)
     a, b = m.domain, m.codomain
-    for l in range(a.l.order):
-        if m.f_m(a.lam(l)) != b.lam(m.f_l(l)):
-            return fail("square-lam", (l,), "lam does not commute")
-        if m.f_n(a.lam_prime(l)) != b.lam_prime(m.f_l(l)):
-            return fail("square-lam-prime", (l,), "lam' does not commute")
-    for x in range(a.m.order):
-        if m.f_p(a.mu(x)) != b.mu(m.f_m(x)):
-            return fail("square-mu", (x,), "mu does not commute")
-    for x in range(a.n.order):
-        if m.f_p(a.nu(x)) != b.nu(m.f_n(x)):
-            return fail("square-nu", (x,), "nu does not commute")
-    for p in range(a.p.order):
-        fp = m.f_p(p)
-        for l in range(a.l.order):
-            if m.f_l(a.act_p_on_l.act(p, l)) != b.act_p_on_l.act(fp, m.f_l(l)):
-                return fail("equivariance-l", (p, l), "P-action on L")
-        for x in range(a.m.order):
-            if m.f_m(a.act_p_on_m.act(p, x)) != b.act_p_on_m.act(fp, m.f_m(x)):
-                return fail("equivariance-m", (p, x), "P-action on M")
-        for x in range(a.n.order):
-            if m.f_n(a.act_p_on_n.act(p, x)) != b.act_p_on_n.act(fp, m.f_n(x)):
-                return fail("equivariance-n", (p, x), "P-action on N")
-    for x in range(a.m.order):
-        for y in range(a.n.order):
-            if m.f_l(a.h(x, y)) != b.h(m.f_m(x), m.f_n(y)):
-                return fail("pairing", (x, y), "f_l(h(m,n)) != h(f_m(m), f_n(n))")
-    return VALID
+    fl, fm, fn, fp = m.f_l.np_map, m.f_m.np_map, m.f_n.np_map, m.f_p.np_map
+    # per l: lam, then lam'
+    if not (rep := first_violation(
+            lambda l, k: fail(("square-lam", "square-lam-prime")[k], (l,),
+                              ("lam does not commute",
+                               "lam' does not commute")[k]),
+            np.array([fm[a.lam.np_map], fn[a.lam_prime.np_map]]).T,
+            np.array([b.lam.np_map[fl], b.lam_prime.np_map[fl]]).T)).ok:
+        return rep
+    if not (rep := first_violation(
+            lambda x: fail("square-mu", (x,), "mu does not commute"),
+            fp[a.mu.np_map], b.mu.np_map[fm])).ok:
+        return rep
+    if not (rep := first_violation(
+            lambda x: fail("square-nu", (x,), "nu does not commute"),
+            fp[a.nu.np_map], b.nu.np_map[fn])).ok:
+        return rep
+    # per p: the action on L, then on M, then on N
+    def moved(f, dom_act, cod_act):
+        return f[dom_act.np_perms] != cod_act.np_perms[fp[:, None], f[None, :]]
+
+    nl, nmm = a.l.order, a.m.order
+
+    def equivariance(p, j):
+        if j < nl:
+            return fail("equivariance-l", (p, j), "P-action on L")
+        if j < nl + nmm:
+            return fail("equivariance-m", (p, j - nl), "P-action on M")
+        return fail("equivariance-n", (p, j - nl - nmm), "P-action on N")
+
+    if not (rep := first_violation(equivariance, np.concatenate(
+            [moved(fl, a.act_p_on_l, b.act_p_on_l),
+             moved(fm, a.act_p_on_m, b.act_p_on_m),
+             moved(fn, a.act_p_on_n, b.act_p_on_n)], axis=1))).ok:
+        return rep
+    ha = np.array(a.hmap, dtype=np.int64).reshape(a.m.order, a.n.order)
+    hb = np.array(b.hmap, dtype=np.int64).reshape(b.m.order, b.n.order)
+    return first_violation(
+        lambda x, y: fail("pairing", (x, y),
+                          "f_l(h(m,n)) != h(f_m(m), f_n(n))"),
+        fl[ha], hb[fm[:, None], fn[None, :]])
 
 
 def xsq_morphism_compose(m1: XSqMorphism, m2: XSqMorphism) -> XSqMorphism:
@@ -247,7 +260,6 @@ def xsq_morphism_compose(m1: XSqMorphism, m2: XSqMorphism) -> XSqMorphism:
 
 
 def is_xsq_isomorphism(m: XSqMorphism) -> bool:
-    from .groups import is_injective, is_surjective
     return (validate_xsq_morphism(m).ok
             and all(is_injective(f) and is_surjective(f)
                     for f in (m.f_l, m.f_m, m.f_n, m.f_p)))
@@ -305,14 +317,11 @@ def norrie_xsq(parent: XModGroups, s_indices, t_indices) -> CrossedSquare:
     T, incT = subgroup(B, t_idx, name=f"sub[{B.name}]")
     lam = hom_restrict(parent.boundary, incS, incT)
     posS = {v: i for i, v in enumerate(incS.map)}
-    posT = {v: i for i, v in enumerate(incT.map)}
 
     act_b_on_s = GroupAction(B, S, tuple(
         tuple(posS[parent.action.act(b, incS(i))] for i in range(S.order))
         for b in range(B.order)))
-    act_b_on_t = GroupAction(B, T, tuple(
-        tuple(posT[B.add(B.add(b, incT(i)), B.neg(b))] for i in range(T.order))
-        for b in range(B.order)))
+    act_b_on_t = conjugation_through(GroupHom.identity(B), incT)
 
     hmap = tuple(
         tuple(posS[A.sub(parent.action.act(incT(t), a), a)]

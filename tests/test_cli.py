@@ -114,6 +114,15 @@ def test_enumerate_counts(capsys):
     assert capsys.readouterr().out.strip() == "count: 2"
 
 
+def test_non_integer_max_order_variable_is_exit_two(monkeypatch, capsys):
+    monkeypatch.setenv("GGX_MAX_ORDER", "abc")
+    assert main(["enumerate", "homs", "--a", "z2", "--b", "z3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: GGX_MAX_ORDER must be an integer, got 'abc'"]
+
+
 def test_enumerate_missing_group_args(capsys):
     assert main(["enumerate", "homs", "--a", "z2"]) == 2
     capsys.readouterr()

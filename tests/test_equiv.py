@@ -1,12 +1,14 @@
 """The equivalence functors and their round-trip isomorphism verifiers."""
 
+from dataclasses import replace
+
 from ggx.dgg import (DGGMorphism, comp_h, comp_v, is_dgg_isomorphism,
                      trivial_dgg, validate_dgg, validate_dgg_morphism)
 from ggx.equiv import (delta, eta, gamma, roundtrip_delta_eta,
                        roundtrip_eta_delta, roundtrip_gamma_theta,
                        roundtrip_theta_gamma, theta, theta_morphism)
-from ggx.groups import (GroupAction, GroupHom, cyclic, negation_action,
-                        symmetric_3)
+from ggx.groups import (GroupAction, GroupHom, cyclic, kernel,
+                        negation_action, symmetric_3)
 from ggx.groupoids import (GroupGroupoid, compose_arrows, discrete_gg,
                            ker_d0, pair_gg)
 from ggx.xmod import (XModGGMorphism, XModGroups, identity_xmod,
@@ -102,15 +104,20 @@ def test_roundtrip_theta_gamma_on_examples():
         assert rt.ok, rt.report.describe()
 
 
-def test_theta_gamma_minus_sign_fails_beyond_order_two():
-    # the square comparison (x, b) -> x - epsh(b) only commutes with the
-    # face maps when edges have order at most two; the verifier must fall
-    # back and record it
-    rt = roundtrip_theta_gamma(trivial_dgg(pair_gg(cyclic(3))))
-    assert rt.ok and rt.used_alternate
-    assert any("square map" in n for n in rt.notes)
-    rt2 = roundtrip_theta_gamma(trivial_dgg(discrete_gg(cyclic(2))))
-    assert rt2.ok and not rt2.used_alternate
+def test_theta_gamma_minus_square_map_is_not_a_morphism():
+    # the square comparison (x, b) -> x - epsh(b) fails to commute with the
+    # face maps once edges have order above two; the verified map is
+    # (x, b) -> x + epsh(b)
+    d = trivial_dgg(pair_gg(cyclic(3)))
+    rt = roundtrip_theta_gamma(d)
+    assert rt.ok, rt.report.describe()
+    m = rt.morphism
+    _, incK = kernel(d.d0h)
+    nh = d.h.order
+    minus = GroupHom(m.domain.s, d.s,
+                     tuple(d.s.sub(incK(k // nh), d.epsh(k % nh))
+                           for k in range(m.domain.s.order)))
+    assert not validate_dgg_morphism(replace(m, fs=minus)).ok
 
 
 def test_vertical_comparison_on_kernel_identities():
