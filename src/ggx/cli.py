@@ -10,7 +10,8 @@ Verbs:
 * ``roundtrip NAME FILE`` -- run one of the four round-trip isomorphism
                           verifications.
 * ``enumerate KIND ...`` -- run an enumeration oracle and print the count
-                          (optionally emitting the documents).
+                          (optionally emitting the documents, each as
+                          soon as it is found).
 * ``catalog list`` / ``catalog emit NAME [-o OUT]``.
 
 The ``GGX_MAX_ORDER`` environment variable overrides the default
@@ -178,16 +179,21 @@ def _cmd_enumerate(args) -> int:
                                                 _resolve_group(args.b),
                                                 max_order=args.max_order)
     elif args.kind == "xmod-gg":
-        emitted = list(enumeration.all_xmod_gg(args.max_order))
+        # resolve the bound now: the generator would only fail once the
+        # output directory exists
+        emitted = enumeration.all_xmod_gg(
+            enumeration.resolve_bound(args.max_order))
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
-        for i, obj in enumerate(emitted):
-            serialize.dump_path(
-                obj, os.path.join(args.out_dir, f"{args.kind}-{i:04d}.json"))
-    if args.print_docs:
-        for obj in emitted:
+    count = 0
+    for obj in emitted:
+        if args.out_dir:
+            serialize.dump_path(obj, os.path.join(
+                args.out_dir, f"{args.kind}-{count:04d}.json"))
+        if args.print_docs:
             sys.stdout.write(serialize.dumps(obj))
-    print(f"count: {len(emitted)}")
+        count += 1
+    print(f"count: {count}")
     return 0
 
 

@@ -6,6 +6,11 @@ duplicate-free at the representation level, and the output order is
 deterministic (candidates are generated over lexicographically ordered
 image tuples and results sorted by their map encoding).
 
+Within one :func:`all_xmod_gg` call the homomorphisms and actions between
+two groups are computed once per pair of groups and shared by every
+group-groupoid pair over them, so each shared hom and action is also
+validated once (see :func:`~ggx.report.once_per_value`).
+
 Every entry point accepts a ``max_order`` bound; ``None`` means the
 configured default, which is 8 unless the ``GGX_MAX_ORDER`` environment
 variable overrides it.  Requests over the bound raise
@@ -15,6 +20,7 @@ variable overrides it.  Requests over the bound raise
 from __future__ import annotations
 
 import os
+from functools import cache
 from itertools import product
 
 from .groups import (FiniteGroup, GroupAction, GroupHom, cyclic, dihedral_8,
@@ -126,9 +132,10 @@ def all_xmod_groups(a: FiniteGroup, b: FiniteGroup,
                     max_order: int | None = None) -> list[XModGroups]:
     """Every crossed-module structure on the pair ``(a, b)``: all
     (boundary, action) combinations passing CM1 and CM2."""
+    boundaries = all_homs(a, b, max_order=max_order)
     out = []
     for act in all_actions(b, a, max_order=max_order):
-        for bd in all_homs(a, b, max_order=max_order):
+        for bd in boundaries:
             xm = XModGroups(a, b, bd, act)
             if validate_xmod_groups(xm).ok:
                 out.append(xm)
@@ -161,13 +168,12 @@ def all_gg_structures(g: FiniteGroup, g0: FiniteGroup,
     return out
 
 
-def _boundary_candidates(ggG: GroupGroupoid, ggH: GroupGroupoid,
-                         max_order: int | None):
+def _boundary_candidates(ggG: GroupGroupoid, ggH: GroupGroupoid, homs):
     """(boundary-on-arrows, boundary-on-objects) pairs forming a morphism
-    of group-groupoids."""
-    homs0 = all_homs(ggG.objects, ggH.objects, max_order=max_order)
+    of group-groupoids; ``homs(a, b)`` lists the homomorphisms ``a -> b``."""
+    homs0 = homs(ggG.objects, ggH.objects)
     return [(b1, b0)
-            for b1 in all_homs(ggG.arrows, ggH.arrows, max_order=max_order)
+            for b1 in homs(ggG.arrows, ggH.arrows)
             for b0 in homs0
             if validate_morphism_squares(GGMorphism(ggG, ggH, b1, b0)).ok]
 
@@ -182,6 +188,8 @@ def all_xmod_gg(max_order: int | None = None):
     :func:`~ggx.xmod.validate_xmod_gg`, so every streamed instance is
     valid."""
     bound = resolve_bound(max_order)
+    homs = cache(lambda a, b: all_homs(a, b, max_order=bound))
+    actions = cache(lambda b, a: all_actions(b, a, max_order=bound))
     groups = [g for g in base_groups() if g.order <= bound]
     ggs: list[GroupGroupoid] = []
     for g in groups:
@@ -191,10 +199,10 @@ def all_xmod_gg(max_order: int | None = None):
             ggs.extend(all_gg_structures(g, g0, max_order=bound))
     for ggG in ggs:
         for ggH in ggs:
-            boundaries = _boundary_candidates(ggG, ggH, bound)
+            boundaries = _boundary_candidates(ggG, ggH, homs)
             if not boundaries:
                 continue
-            for act in all_actions(ggH.arrows, ggG.arrows, max_order=bound):
+            for act in actions(ggH.arrows, ggG.arrows):
                 if not validate_action_compatibility(ggG, ggH, act).ok:
                     continue
                 for b1, b0 in boundaries:

@@ -32,9 +32,8 @@ from .groupoids import GGMorphism, GroupGroupoid, object_action
 from .report import ValidationReport
 from .dgg import DGGMorphism, DoubleGroupGroupoid, validate_dgg_morphism
 from .xmod import (XModGG, XModGGMorphism, XModGroups,
-                   is_xmod_gg_isomorphism, validate_xmod_gg_morphism)
-from .xsq import (CrossedSquare, XSqMorphism, is_xsq_isomorphism,
-                  validate_xsq_morphism)
+                   validate_xmod_gg_morphism)
+from .xsq import CrossedSquare, XSqMorphism, validate_xsq_morphism
 
 
 @dataclass(frozen=True)
@@ -47,6 +46,15 @@ class RoundTrip:
 
     def summary(self) -> str:
         return "isomorphism verified" if self.ok else "isomorphism FAILED"
+
+
+def _verified(m, rep: ValidationReport, components) -> RoundTrip:
+    """The round trip of the comparison ``m``, whose validator returned
+    ``rep``: an isomorphism when ``rep`` is valid and every component map
+    is a bijection."""
+    ok = rep.ok and all(is_injective(f) and is_surjective(f)
+                        for f in components)
+    return RoundTrip(ok, m, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +167,8 @@ def roundtrip_theta_gamma(d: DoubleGroupGroupoid) -> RoundTrip:
                         for m in range(dd.v.order)))
     m = DGGMorphism(dd, d, fs, GroupHom.identity(d.h), fv,
                     GroupHom.identity(d.p))
-    rep = validate_dgg_morphism(m)
-    bijective = all(is_injective(f) and is_surjective(f)
-                    for f in (m.fs, m.fh, m.fv, m.fp))
-    return RoundTrip(rep.ok and bijective, m, rep)
+    return _verified(m, validate_dgg_morphism(m),
+                     (m.fs, m.fh, m.fv, m.fp))
 
 
 def roundtrip_gamma_theta(xm: XModGG) -> RoundTrip:
@@ -189,9 +195,8 @@ def roundtrip_gamma_theta(xm: XModGG) -> RoundTrip:
                    GroupHom.identity(xm.h.arrows),
                    GroupHom.identity(xm.h.objects))
     m = XModGGMorphism(xm, xm2, f, g)
-    rep = validate_xmod_gg_morphism(m)
-    ok = rep.ok and is_xmod_gg_isomorphism(m)
-    return RoundTrip(ok, m, rep)
+    return _verified(m, validate_xmod_gg_morphism(m),
+                     (f.on_arrows, f.on_objects, g.on_arrows, g.on_objects))
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +299,8 @@ def roundtrip_eta_delta(xm: XModGG) -> RoundTrip:
                    GroupHom(H.arrows, xm2.h.arrows, bmap),
                    GroupHom.identity(H.objects))
     m = XModGGMorphism(xm, xm2, f, g)
-    rep = validate_xmod_gg_morphism(m)
-    ok = rep.ok and is_xmod_gg_isomorphism(m)
-    return RoundTrip(ok, m, rep)
+    return _verified(m, validate_xmod_gg_morphism(m),
+                     (f.on_arrows, f.on_objects, g.on_arrows, g.on_objects))
 
 
 def roundtrip_delta_eta(xs: CrossedSquare) -> RoundTrip:
@@ -316,6 +320,5 @@ def roundtrip_delta_eta(xs: CrossedSquare) -> RoundTrip:
                         for m in range(xs.m.order)))
     m = XSqMorphism(xs, xs2, fl, fm,
                     GroupHom.identity(xs.n), GroupHom.identity(xs.p))
-    rep = validate_xsq_morphism(m)
-    ok = rep.ok and is_xsq_isomorphism(m)
-    return RoundTrip(ok, m, rep)
+    return _verified(m, validate_xsq_morphism(m),
+                     (m.f_l, m.f_m, m.f_n, m.f_p))

@@ -14,6 +14,11 @@ Conventions used by the whole package:
 * Values are immutable after construction; validators are pure functions
   returning :class:`~ggx.report.ValidationReport`.  Operations assume their
   inputs already validated.
+* :func:`validate_group`, :func:`validate_hom` and :func:`validate_action`
+  run at most once per value: each keeps its report on the value it
+  checked, as :attr:`FiniteGroup.np_table` keeps the table.  A hom checks
+  its domain and codomain, and an action its actor and target, before its
+  own laws.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from itertools import product
 import numpy as np
 
 from .report import (BoundExceededError, DomainMismatchError, GgxError,
-                     ValidationReport, fail, first_violation, nested)
+                     ValidationReport, fail, first_violation, nested,
+                     once_per_value)
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -104,6 +110,7 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
+@once_per_value
 def validate_group(g: FiniteGroup) -> ValidationReport:
     """Check the group axioms exhaustively.
 
@@ -201,7 +208,13 @@ class GroupHom:
         return f"GroupHom({self.domain.name}->{self.codomain.name})"
 
 
+@once_per_value
 def validate_hom(f: GroupHom) -> ValidationReport:
+    """Check the domain, then the codomain, then the map and the hom law."""
+    for grp, where in ((f.domain, "domain"), (f.codomain, "codomain")):
+        rep = validate_group(grp)
+        if not rep.ok:
+            return nested(where, rep)
     n, m = f.domain.order, f.codomain.order
     if len(f.map) != n:
         return fail("malformed", (), f"map has length {len(f.map)}, domain order {n}")
@@ -318,7 +331,14 @@ class GroupAction:
         return f"GroupAction({self.actor.name} on {self.target.name})"
 
 
+@once_per_value
 def validate_action(act: GroupAction) -> ValidationReport:
+    """Check the actor, then the target, then the table and the action
+    laws."""
+    for grp, where in ((act.actor, "actor"), (act.target, "target")):
+        rep = validate_group(grp)
+        if not rep.ok:
+            return nested(where, rep)
     nb, na = act.actor.order, act.target.order
     if len(act.perms) != nb or any(len(r) != na for r in act.perms):
         return fail("malformed", (), "permutation table has wrong shape")

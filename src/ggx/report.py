@@ -4,12 +4,15 @@ Every validator returns a :class:`ValidationReport` instead of raising, so
 callers (tests, the CLI) can inspect which axiom failed and on which
 witness.  Every axiom check goes through :func:`first_violation`, which
 reports the first violation in row-major order over the quantified
-variables, so the reported witness is deterministic.
+variables, so the reported witness is deterministic.  Validators of the
+basic values (groups, homomorphisms, actions) are wrapped in
+:func:`once_per_value`, which keeps the report on the checked value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from typing import Callable
 
 import numpy as np
@@ -113,3 +116,23 @@ def nested(where: str, inner: ValidationReport) -> ValidationReport:
     prefix = f"{where}.{inner.where}" if inner.where else where
     return ValidationReport(ok=False, axiom=inner.axiom, where=prefix,
                             witness=inner.witness, message=inner.message)
+
+
+def once_per_value(validator: Callable[..., ValidationReport]
+                   ) -> Callable[..., ValidationReport]:
+    """Run ``validator`` at most once per instance of an immutable value.
+
+    The report is kept in the instance's ``__dict__``, the way
+    ``functools.cached_property`` keeps a derived table, so it lives and
+    dies with the value and never joins the value's equality or hash.
+    """
+    key = f"_{validator.__name__}_report"
+
+    @wraps(validator)
+    def validate(value) -> ValidationReport:
+        cache = value.__dict__
+        if key not in cache:
+            cache[key] = validator(value)
+        return cache[key]
+
+    return validate

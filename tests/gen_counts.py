@@ -43,7 +43,7 @@ def main() -> None:
                   ("s3", "s3")]:
         counts["all_gg_structures"][f"{g}/{g0}"] = \
             len(all_gg_structures(names[g], names[g0]))
-    for bound in (2, 3, 4):
+    for bound in (2, 3, 4, 6):
         counts["all_xmod_gg"][str(bound)] = sum(1 for _ in all_xmod_gg(bound))
 
     doc = {

@@ -2,10 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from ggx import serialize
+from ggx import enumeration, serialize
 from ggx.cli import main
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -53,6 +55,43 @@ def test_verify_reports_are_byte_identical_across_runs(capsys):
         main(["verify", fixture("broken-xmodgg-action.json"), "--json"])
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+def edited_fixture(tmp_path, name, edits):
+    """A copy of fixture ``name`` with ``edits``, pairs of a key path and
+    the value to put there."""
+    with open(fixture(name)) as fh:
+        doc = json.load(fh)
+    for path, value in edits:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    target = tmp_path / name
+    target.write_text(json.dumps(doc))
+    return str(target)
+
+
+_ID_PERMS = (("perms",), [[0, 1, 2], [0, 1, 2]])
+_BAD_TARGET = (("target", "table", 2), [2, 0, 0])
+
+
+@pytest.mark.parametrize("name, edits, where, witness", [
+    ("broken-hom.json", [(("map",), [0, 0, 0, 0]),
+                         (("domain", "table", 3), [3, 0, 1, 1])],
+     "domain", ["row", 3]),
+    ("broken-action.json", [_ID_PERMS, _BAD_TARGET], "target", ["row", 2]),
+    ("broken-action.json", [_ID_PERMS, _BAD_TARGET,
+                            (("actor", "table"), [[1, 1], [1, 0]])],
+     "actor", ["row", 0]),
+], ids=["hom-domain", "action-target", "action-actor"])
+def test_verify_checks_the_groups_of_homs_and_actions(tmp_path, capsys, name,
+                                                      edits, where, witness):
+    path = edited_fixture(tmp_path, name, edits)
+    assert main(["verify", path, "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["axiom"], payload["where"], payload["witness"]) == \
+        ("latin-square", where, witness)
 
 
 def test_verify_parse_error_is_exit_two(tmp_path, capsys):
@@ -123,6 +162,15 @@ def test_non_integer_max_order_variable_is_exit_two(monkeypatch, capsys):
         "error: GGX_MAX_ORDER must be an integer, got 'abc'"]
 
 
+def test_bad_bound_variable_creates_no_output_dir(tmp_path, monkeypatch,
+                                                  capsys):
+    monkeypatch.setenv("GGX_MAX_ORDER", "abc")
+    out = tmp_path / "docs"
+    assert main(["enumerate", "xmod-gg", "--out-dir", str(out)]) == 2
+    assert "GGX_MAX_ORDER" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_enumerate_missing_group_args(capsys):
     assert main(["enumerate", "homs", "--a", "z2"]) == 2
     capsys.readouterr()
@@ -138,6 +186,35 @@ def test_enumerate_emits_parseable_documents(tmp_path, capsys):
     for f in files:
         assert main(["verify", os.path.join(str(out), f)]) == 0
     capsys.readouterr()
+
+
+def test_enumerate_xmod_gg_streams_documents(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "docs"
+    real = enumeration.all_xmod_gg
+
+    def checked(max_order):
+        for i, xm in enumerate(real(max_order)):
+            assert len(os.listdir(out)) == i  # the earlier ones are written
+            yield xm
+
+    monkeypatch.setattr(enumeration, "all_xmod_gg", checked)
+    assert main(["enumerate", "xmod-gg", "--max-order", "3",
+                 "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out == "count: 20\n"
+    assert sorted(os.listdir(out)) == \
+        [f"xmod-gg-{i:04d}.json" for i in range(20)]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "ggx", "catalog", "list"],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "norrie-s3" in proc.stdout.split()
 
 
 def test_catalog_list_and_emit(tmp_path, capsys):

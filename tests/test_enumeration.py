@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from ggx import enumeration
 from ggx.enumeration import (all_actions, all_gg_structures, all_homs,
                              all_xmod_gg, all_xmod_groups, automorphism_group,
                              base_groups, resolve_bound)
@@ -136,6 +137,24 @@ def test_frozen_count_bound_four(corpus_small):
     # checked through the session corpus fixture to avoid re-enumerating
     counts = frozen_counts()
     assert counts["all_xmod_gg"]["4"] == 2958
+
+
+def test_frozen_count_bound_six():
+    assert sum(1 for _ in all_xmod_gg(6)) == \
+        frozen_counts()["all_xmod_gg"]["6"] == 5409
+
+
+def test_all_xmod_gg_lists_actions_once_per_group_pair(monkeypatch):
+    pairs = []
+    real = enumeration.all_actions
+
+    def counted(b, a, max_order=None):
+        pairs.append((b, a))
+        return real(b, a, max_order=max_order)
+
+    monkeypatch.setattr(enumeration, "all_actions", counted)
+    assert sum(1 for _ in all_xmod_gg(4)) == frozen_counts()["all_xmod_gg"]["4"]
+    assert pairs and len(pairs) == len(set(pairs))
 
 
 def test_bound_is_enforced():

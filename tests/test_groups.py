@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import ggx.groups
 from ggx.groups import (FiniteGroup, GroupAction, GroupHom, SplitExtension,
                         compose, conjugation_action, conjugation_extension,
                         cyclic, derived_action, dihedral_8, direct_product,
@@ -120,6 +121,26 @@ def test_action_validator_catches_non_automorphism():
     z3, z2 = cyclic(3), cyclic(2)
     rep = validate_action(GroupAction(z2, z3, ((0, 1, 2), (1, 0, 2))))
     assert not rep.ok and rep.axiom == "act-auto"
+
+
+def test_validator_report_is_computed_once_per_instance(monkeypatch):
+    checks = []
+    real = ggx.groups.first_violation
+
+    def counted(*args, **kwargs):
+        checks.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ggx.groups, "first_violation", counted)
+    g = symmetric_3()
+    first = validate_group(g)
+    done = len(checks)
+    assert first.ok and done > 0
+    assert validate_group(g) is first
+    assert len(checks) == done           # the second call did no work
+    assert validate_group(symmetric_3()).ok
+    assert len(checks) == 2 * done       # an equal new value is checked anew
+    assert symmetric_3() == g            # the kept report joins no equality
 
 
 def test_kernel_of_zero_map_is_everything():
