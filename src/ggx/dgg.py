@@ -30,7 +30,7 @@ import numpy as np
 from .groups import (FiniteGroup, GroupHom, compose, is_injective,
                      is_surjective, validate_hom)
 from .groupoids import (INTERCHANGE_CHUNK, GroupGroupoid, _composable_pairs,
-                        groupoid_inverse, interchange_add, inverse_map,
+                        groupoid_inverse, inverse_map,
                         validate_group_groupoid)
 from .report import (VALID, NotComposableError, ValidationReport, fail,
                      first_violation, nested)
@@ -124,8 +124,10 @@ def validate_dgg(d: DoubleGroupGroupoid) -> ValidationReport:
     Checks, in order: the four underlying group-groupoids; the face and
     degeneracy compatibility equations between the two directions; the
     functoriality of each direction's composition and inversion for the
-    other direction's structure; and the three interchange laws between the
-    two compositions and the group operation.
+    other direction's structure; and the interchange of the two
+    compositions with each other.  The interchange of each composition
+    with the group operation is the ``interchange`` law of the
+    group-groupoids ``(S,H)`` and ``(S,V)``, checked in the first step.
     """
     ggs = {"h": d.gg_sh(), "v": d.gg_sv(), "H": d.gg_hp(), "V": d.gg_vp()}
     for key, where in (("h", "(S,H)"), ("v", "(S,V)"), ("H", "(H,P)"),
@@ -179,9 +181,8 @@ def validate_dgg(d: DoubleGroupGroupoid) -> ValidationReport:
 def _derived_laws(d: DoubleGroupGroupoid, ggs: dict, dh, dv):
     """The reports of the derived laws, lazily and in scan order: the
     functoriality of the compositions and inversions (asserted as
-    self-checks), then the interchange laws between the two compositions
-    and the group operation.  ``dh`` and ``dv`` stack the two face maps of
-    each direction."""
+    self-checks), then the interchange of the two compositions with each
+    other.  ``dh`` and ``dv`` stack the two face maps of each direction."""
     pairs = {k: _composable_pairs(gg) for k, gg in ggs.items()}
     epsh, epsv = d.epsh.np_map, d.epsv.np_map
     face = "a face map does not preserve composition"
@@ -199,11 +200,6 @@ def _derived_laws(d: DoubleGroupGroupoid, ggs: dict, dh, dv):
                                 inverse_map(ggs["V"]), epsv, pairs["v"])
     yield _inversion_functorial("compat-inv-v", inverse_map(ggs["v"]), dh,
                                 inverse_map(ggs["H"]), epsh, pairs["h"])
-    tbl = d.s.np_table
-    yield interchange_add(tbl, pairs["v"], "interchange-add-v",
-                          "(b ov a) + (b1 ov a1) != (b + b1) ov (a + a1)")
-    yield interchange_add(tbl, pairs["h"], "interchange-add-h",
-                          "(b oh a) + (b1 oh a1) != (b + b1) oh (a + a1)")
     yield _interchange_mixed(d, pairs["v"], pairs["h"][3])
 
 
@@ -252,13 +248,16 @@ def _interchange_mixed(d, v_pairs, chf) -> ValidationReport:
     d0h, d1h = d.d0h.np_map, d.d1h.np_map
     # v-composable pairs indexed by position: value cv[i] = Bv[i] ov Av[i]
     Av, Bv, cv, cvf = v_pairs
-    m = len(Av)
-    for i0 in range(0, m, INTERCHANGE_CHUNK):
-        sl = slice(i0, min(i0 + INTERCHANGE_CHUNK, m))
+    n = len(chf)
+    d0a, d1a, d0b, d1b = d0h[Av], d1h[Av], d0h[Bv], d1h[Bv]
+    # composites in the compact dtype: x oh y at flat position x * n + y
+    chf, cvf = chf.ravel(), cvf.ravel()
+    for i0 in range(0, len(Av), INTERCHANGE_CHUNK):
+        sl = slice(i0, i0 + INTERCHANGE_CHUNK)
         # grid condition: betas and alphas are h-composable pairwise
         # (rows: pairs in the chunk act as the second h-factor)
-        grid = ((d1h[Bv[None, :]] == d0h[Bv[sl][:, None]])
-                & (d1h[Av[None, :]] == d0h[Av[sl][:, None]]))
+        grid = ((d1b[None, :] == d0b[sl, None])
+                & (d1a[None, :] == d0a[sl, None]))
         rows, cols = np.nonzero(grid)
         i, j = i0 + rows, cols
 
@@ -272,8 +271,9 @@ def _interchange_mixed(d, v_pairs, chf) -> ValidationReport:
                 at("grid of squares whose composite rows do not compose"),
                 d1h[cv[j]] != d0h[cv[i]])).ok:
             return rep
-        lhs = chf[cv[j], cv[i]]
-        rhs = cvf[chf[Av[j], Av[i]], chf[Bv[j], Bv[i]]]
+        lhs = chf[cv[j] * n + cv[i]]
+        rhs = cvf[chf[Av[j] * n + Av[i]] * np.intp(n)
+                  + chf[Bv[j] * n + Bv[i]]]
         if not (rep := first_violation(
                 at("(b ov a) oh (b1 ov a1) != (b oh b1) ov (a oh a1)"),
                 (rhs < 0) | (lhs != rhs))).ok:

@@ -22,15 +22,15 @@ import numpy as np
 
 from .groups import (FiniteGroup, GroupAction, GroupHom, SplitExtension,
                      compose, conjugation_action, conjugation_through,
-                     freeze_table, kernel, sd_index, semidirect_product,
-                     trivial_group, validate_group, validate_hom,
-                     validate_split_extension)
+                     freeze_table, index_dtype, kernel, sd_index,
+                     semidirect_product, trivial_group, validate_group,
+                     validate_hom, validate_split_extension)
 from .report import (VALID, NotComposableError, ValidationReport, fail,
                      first_violation, nested)
 
 # composable pairs per block of the interchange scans, which bounds the
 # size of their pair x pair grids
-INTERCHANGE_CHUNK = 1024
+INTERCHANGE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -90,14 +90,16 @@ def ker_d1(gg: GroupGroupoid):
 
 def _composable_pairs(gg: GroupGroupoid):
     """Index arrays ``(A, B)`` of all pairs with ``d1(A) = d0(B)``, plus the
-    composite of each pair and a full composite matrix (-1 = undefined)."""
+    composite of each pair and a full composite matrix (-1 = undefined) in
+    the compact :func:`~ggx.groups.index_dtype`."""
     d0m, d1m = gg.d0.np_map, gg.d1.np_map
     mask = d1m[:, None] == d0m[None, :]
     A, B = np.nonzero(mask)
     tbl, neg = gg.arrows.np_table, gg.arrows.np_neg
     em = gg.eps.np_map
     comp = tbl[tbl[B, neg[em[d0m[B]]]], A]
-    full = np.full((gg.arrows.order,) * 2, -1, dtype=np.int64)
+    n = gg.arrows.order
+    full = np.full((n, n), -1, dtype=index_dtype(n))
     full[A, B] = comp
     return A, B, comp, full
 
@@ -200,24 +202,34 @@ def validate_group_groupoid(gg: GroupGroupoid) -> ValidationReport:
              | (comp_full[arrows, inv] != em[d0m])]).T)).ok:
         return rep
 
-    # one-groupoid interchange: (b o a) + (b1 o a1) == (b + b1) o (a + a1)
-    return interchange_add(tbl, pairs, "interchange",
-                           "(b o a) + (b1 o a1) != (b + b1) o (a + a1)")
+    return interchange_add(tbl, pairs)
 
 
-def interchange_add(tbl, pairs, tag: str, message: str) -> ValidationReport:
-    """The interchange of a groupoid composition with the group operation
-    ``tbl``, over every two composable ``pairs``; the witness is
-    ``(a, b, a1, b1)``."""
+def interchange_add(tbl, pairs) -> ValidationReport:
+    """The interchange ``(b o a) + (b1 o a1) == (b + b1) o (a + a1)`` of a
+    groupoid composition with the group operation ``tbl``, over every two
+    composable ``pairs``; the witness is ``(a, b, a1, b1)``.
+
+    The pairs ``(a, b)`` are scanned in blocks of rows; each block reads
+    its rows of the columns ``x + a1``, ``x + b1`` and ``x + (b1 o a1)``,
+    gathered once in the compact dtype of the composite matrix.
+    """
     A, B, comp, comp_full = pairs
-    m = len(A)
-    for i0 in range(0, m, INTERCHANGE_CHUNK):
-        sl = slice(i0, min(i0 + INTERCHANGE_CHUNK, m))
+    n = len(tbl)
+    t = tbl.astype(comp_full.dtype)
+    plus_a, plus_b, plus_comp = t[:, A], t[:, B], t[:, comp]
+    flat = comp_full.ravel()
+    for i0 in range(0, len(A), INTERCHANGE_CHUNK):
+        sl = slice(i0, i0 + INTERCHANGE_CHUNK)
+        # (a + a1) o (b + b1) read at flat position (a + a1) * n + (b + b1)
+        at = plus_a[A[sl]] * np.intp(n)
+        at += plus_b[B[sl]]
         rep = first_violation(
-            lambda i, j: fail(tag, (int(A[i0 + i]), int(B[i0 + i]),
-                                    int(A[j]), int(B[j])), message),
-            tbl[comp[sl][:, None], comp],
-            comp_full[tbl[A[sl][:, None], A], tbl[B[sl][:, None], B]])
+            lambda i, j: fail("interchange",
+                              (int(A[i0 + i]), int(B[i0 + i]),
+                               int(A[j]), int(B[j])),
+                              "(b o a) + (b1 o a1) != (b + b1) o (a + a1)"),
+            plus_comp[comp[sl]], flat[at])
         if not rep.ok:
             return rep
     return VALID

@@ -35,6 +35,16 @@ from .report import (BoundExceededError, DomainMismatchError, GgxError,
 
 Table = tuple[tuple[int, ...], ...]
 
+# rows i per block of the associativity scan, which bounds its (i, j, k)
+# grids to 16 * n**2 entries
+ASSOCIATIVITY_ROWS = 16
+
+
+def index_dtype(n: int):
+    """The compact integer dtype the scans use for element indices below
+    ``n`` and for -1: int16 below 2**15 elements, else int32."""
+    return np.int16 if n < 1 << 15 else np.int32
+
 
 def freeze_table(rows) -> Table:
     return tuple(tuple(int(v) for v in row) for row in rows)
@@ -154,13 +164,16 @@ def validate_group(g: FiniteGroup) -> ValidationReport:
         return fail("identity", (), "no two-sided identity element")
     identity = int(identities[0])
 
-    left = tbl[tbl, :]      # left[i,j,k]  = (i+j)+k
-    right = tbl[:, tbl]     # right[i,j,k] = i+(j+k)
-    if not (rep := first_violation(
-            lambda i, j, k: fail("associativity", (i, j, k),
-                                 f"({i}+{j})+{k} != {i}+({j}+{k})"),
-            left, right)).ok:
-        return rep
+    # (i+j)+k against i+(j+k), a block of rows i at a time
+    t = tbl.astype(index_dtype(n))
+    for i0 in range(0, n, ASSOCIATIVITY_ROWS):
+        blk = t[i0:i0 + ASSOCIATIVITY_ROWS]
+        if not (rep := first_violation(
+                lambda i, j, k: fail("associativity", (i0 + i, j, k),
+                                     f"({i0 + i}+{j})+{k} != "
+                                     f"{i0 + i}+({j}+{k})"),
+                t[blk], blk[:, t])).ok:
+            return rep
 
     # every row is a permutation, so each i has one right inverse
     right_inv = np.argmax(tbl == identity, axis=1)

@@ -3,16 +3,20 @@ correspondence with crossed modules of groups."""
 
 from itertools import product
 
+import numpy as np
 import pytest
 
 from ggx.groups import (GroupAction, GroupHom, conjugation_action, cyclic,
-                        klein_four, negation_action, symmetric_3)
-from ggx.groupoids import (GGMorphism, GroupGroupoid, compose_arrows, costar,
+                        direct_product, klein_four, negation_action,
+                        symmetric_3)
+from ggx.groupoids import (INTERCHANGE_CHUNK, GGMorphism, GroupGroupoid,
+                           _composable_pairs, compose_arrows, costar,
                            discrete_gg, gg_conjugation_extension,
                            gg_from_xmod, gg_morphism_compose, gg_semidirect,
-                           groupoid_inverse, is_gg_isomorphism, ker_d0,
-                           ker_d1, pair_gg, splitting_iso, star,
-                           validate_gg_morphism, validate_group_groupoid,
+                           groupoid_inverse, interchange_add,
+                           is_gg_isomorphism, ker_d0, ker_d1, pair_gg,
+                           splitting_iso, star, validate_gg_morphism,
+                           validate_group_groupoid,
                            validate_split_extension_gg, xmod_from_gg)
 from ggx.report import NotComposableError
 from ggx.xmod import XModGroups, validate_xmod_groups
@@ -226,6 +230,28 @@ def test_interchange_inside_one_groupoid():
             lhs = arr.add(compose_arrows(gg, a, b), compose_arrows(gg, a1, b1))
             rhs = compose_arrows(gg, arr.add(a, a1), arr.add(b, b1))
             assert lhs == rhs
+
+
+def test_chunked_interchange_scan_keeps_the_first_witness():
+    # the discrete groupoid on z2 x zC, C = INTERCHANGE_CHUNK, with the
+    # composite of each pair (a, a), a = (1, x), shifted by (0, 1): the
+    # pairs of the first chunk, a = (0, x), still interchange with the
+    # group operation, and two pairs of the second chunk do not
+    c = INTERCHANGE_CHUNK
+    g = direct_product(cyclic(2), cyclic(c))
+    tbl = g.np_table
+    A, B, comp, comp_full = _composable_pairs(discrete_gg(g))
+    assert len(A) == 2 * c
+    comp = tbl[comp, np.where(A >= c, 1, 0)]
+    comp_full = comp_full.copy()
+    comp_full[A, B] = comp
+    lhs = tbl[comp[:, None], comp]
+    rhs = comp_full[tbl[A[:, None], A], tbl[B[:, None], B]]
+    i, j = np.argwhere(lhs != rhs)[0]      # every pair of pairs in one grid
+    assert i >= c
+    rep = interchange_add(tbl, (A, B, comp, comp_full))
+    assert rep.axiom == "interchange"
+    assert rep.witness == (A[i], B[i], A[j], B[j])
 
 
 def test_kernels_commute_elementwise():

@@ -1,11 +1,16 @@
 """Groups, homomorphisms, actions, split extensions, semidirect products."""
 
+import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 
 import ggx.groups
-from ggx.groups import (FiniteGroup, GroupAction, GroupHom, SplitExtension,
+from ggx.catalog import catalog_build
+from ggx.equiv import theta
+from ggx.groups import (ASSOCIATIVITY_ROWS, FiniteGroup, GroupAction,
+                        GroupHom, SplitExtension,
                         compose, conjugation_action, conjugation_extension,
                         cyclic, derived_action, dihedral_8, direct_product,
                         image, is_injective, is_isomorphism, is_surjective,
@@ -43,6 +48,34 @@ def test_non_associative_latin_square_reported():
             [4, 3, 1, 2, 0]]
     rep = validate_group(FiniteGroup.from_rows("loop5", rows))
     assert not rep.ok and rep.axiom == "associativity"
+
+
+def test_blocked_associativity_scan_keeps_the_first_witness():
+    # z2^k with the columns h+1 and h+2 swapped in the rows h .. 2h-1:
+    # the elements below h = 2^(k-1) >= ASSOCIATIVITY_ROWS still associate
+    # on the left, so every violation lies past the first block of rows
+    h = 1 << max(ASSOCIATIVITY_ROWS - 1, 1).bit_length()
+    rows = [[i ^ j for j in range(2 * h)] for i in range(2 * h)]
+    for r in range(h, 2 * h):
+        rows[r][h + 1], rows[r][h + 2] = rows[r][h + 2], rows[r][h + 1]
+    loop = FiniteGroup.from_rows("late-loop", rows)
+    t = np.array(rows)
+    bad = np.argwhere(t[t] != t[:, t])    # every (i, j, k) in one grid
+    assert len(bad) and bad[:, 0].min() >= h >= ASSOCIATIVITY_ROWS
+    rep = validate_group(loop)
+    assert rep.axiom == "associativity"
+    assert rep.witness == tuple(int(v) for v in bad[0])
+
+
+def test_associativity_scan_memory_is_bounded():
+    s = theta(catalog_build("pair-xmod-s3")).s    # 324 squares
+    tracemalloc.start()
+    try:
+        assert validate_group(s).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak
 
 
 def test_semidirect_z3_z2_is_nonabelian_of_order_6():
