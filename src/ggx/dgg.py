@@ -27,11 +27,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import (FiniteGroup, GroupHom, compose, is_injective,
-                     is_surjective, validate_hom)
-from .groupoids import (INTERCHANGE_CHUNK, GroupGroupoid, _composable_pairs,
-                        groupoid_inverse, inverse_map,
-                        validate_group_groupoid)
+from .groups import (SCAN_CHUNK, FiniteGroup, GroupHom, compose, entries,
+                     is_injective, is_surjective, validate_hom)
+from .groupoids import (GroupGroupoid, _composable_pairs, groupoid_inverse,
+                        inverse_map, validate_group_groupoid)
 from .report import (VALID, NotComposableError, ValidationReport, fail,
                      first_violation, nested)
 from .xmod import XModGroups
@@ -248,12 +247,9 @@ def _interchange_mixed(d, v_pairs, chf) -> ValidationReport:
     d0h, d1h = d.d0h.np_map, d.d1h.np_map
     # v-composable pairs indexed by position: value cv[i] = Bv[i] ov Av[i]
     Av, Bv, cv, cvf = v_pairs
-    n = len(chf)
     d0a, d1a, d0b, d1b = d0h[Av], d1h[Av], d0h[Bv], d1h[Bv]
-    # composites in the compact dtype: x oh y at flat position x * n + y
-    chf, cvf = chf.ravel(), cvf.ravel()
-    for i0 in range(0, len(Av), INTERCHANGE_CHUNK):
-        sl = slice(i0, i0 + INTERCHANGE_CHUNK)
+    for i0 in range(0, len(Av), SCAN_CHUNK):
+        sl = slice(i0, i0 + SCAN_CHUNK)
         # grid condition: betas and alphas are h-composable pairwise
         # (rows: pairs in the chunk act as the second h-factor)
         grid = ((d1b[None, :] == d0b[sl, None])
@@ -271,9 +267,9 @@ def _interchange_mixed(d, v_pairs, chf) -> ValidationReport:
                 at("grid of squares whose composite rows do not compose"),
                 d1h[cv[j]] != d0h[cv[i]])).ok:
             return rep
-        lhs = chf[cv[j] * n + cv[i]]
-        rhs = cvf[chf[Av[j] * n + Av[i]] * np.intp(n)
-                  + chf[Bv[j] * n + Bv[i]]]
+        lhs = entries(chf, cv[j], cv[i])
+        rhs = entries(cvf, entries(chf, Av[j], Av[i]),
+                      entries(chf, Bv[j], Bv[i]))
         if not (rep := first_violation(
                 at("(b ov a) oh (b1 ov a1) != (b oh b1) ov (a oh a1)"),
                 (rhs < 0) | (lhs != rhs))).ok:

@@ -20,17 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (FiniteGroup, GroupAction, GroupHom, SplitExtension,
-                     compose, conjugation_action, conjugation_through,
-                     freeze_table, index_dtype, kernel, sd_index,
-                     semidirect_product, trivial_group, validate_group,
-                     validate_hom, validate_split_extension)
+from .groups import (SCAN_CHUNK, FiniteGroup, GroupAction, GroupHom,
+                     SplitExtension, compose, conjugation_action,
+                     conjugation_through, entries, freeze_table, index_dtype,
+                     kernel, sd_index, semidirect_product, trivial_group,
+                     validate_group, validate_hom, validate_split_extension)
 from .report import (VALID, NotComposableError, ValidationReport, fail,
                      first_violation, nested)
-
-# composable pairs per block of the interchange scans, which bounds the
-# size of their pair x pair grids
-INTERCHANGE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -212,24 +208,20 @@ def interchange_add(tbl, pairs) -> ValidationReport:
 
     The pairs ``(a, b)`` are scanned in blocks of rows; each block reads
     its rows of the columns ``x + a1``, ``x + b1`` and ``x + (b1 o a1)``,
-    gathered once in the compact dtype of the composite matrix.
+    gathered once in the compact :func:`~ggx.groups.index_dtype`.
     """
     A, B, comp, comp_full = pairs
-    n = len(tbl)
-    t = tbl.astype(comp_full.dtype)
+    t = tbl.astype(index_dtype(len(tbl)))
     plus_a, plus_b, plus_comp = t[:, A], t[:, B], t[:, comp]
-    flat = comp_full.ravel()
-    for i0 in range(0, len(A), INTERCHANGE_CHUNK):
-        sl = slice(i0, i0 + INTERCHANGE_CHUNK)
-        # (a + a1) o (b + b1) read at flat position (a + a1) * n + (b + b1)
-        at = plus_a[A[sl]] * np.intp(n)
-        at += plus_b[B[sl]]
+    for i0 in range(0, len(A), SCAN_CHUNK):
+        sl = slice(i0, i0 + SCAN_CHUNK)
         rep = first_violation(
             lambda i, j: fail("interchange",
                               (int(A[i0 + i]), int(B[i0 + i]),
                                int(A[j]), int(B[j])),
                               "(b o a) + (b1 o a1) != (b + b1) o (a + a1)"),
-            plus_comp[comp[sl]], flat[at])
+            plus_comp[comp[sl]],
+            entries(comp_full, plus_a[A[sl]], plus_b[B[sl]]))
         if not rep.ok:
             return rep
     return VALID

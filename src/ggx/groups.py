@@ -35,15 +35,23 @@ from .report import (BoundExceededError, DomainMismatchError, GgxError,
 
 Table = tuple[tuple[int, ...], ...]
 
-# rows i per block of the associativity scan, which bounds its (i, j, k)
-# grids to 16 * n**2 entries
-ASSOCIATIVITY_ROWS = 16
+# rows per block of the blocked scans: pairs (i, j) of the associativity
+# scan here, composable pairs of the interchange scans in groupoids and dgg;
+# each block checks its rows against the whole of the other axis
+SCAN_CHUNK = 256
 
 
 def index_dtype(n: int):
     """The compact integer dtype the scans use for element indices below
     ``n`` and for -1: int16 below 2**15 elements, else int32."""
     return np.int16 if n < 1 << 15 else np.int32
+
+
+def entries(m, x, y):
+    """``m[x, y]`` for broadcastable index arrays ``x`` and ``y``, read as one
+    flat gather at ``x * n + y``.  The positions are computed in intp
+    whatever the dtype of ``x``, so compact indices cannot overflow."""
+    return m.ravel()[np.multiply(x, m.shape[1], dtype=np.intp) + y]
 
 
 def freeze_table(rows) -> Table:
@@ -164,15 +172,19 @@ def validate_group(g: FiniteGroup) -> ValidationReport:
         return fail("identity", (), "no two-sided identity element")
     identity = int(identities[0])
 
-    # (i+j)+k against i+(j+k), a block of rows i at a time
+    # (i+j)+k against i+(j+k), a block of pairs (i, j) at a time
     t = tbl.astype(index_dtype(n))
-    for i0 in range(0, n, ASSOCIATIVITY_ROWS):
-        blk = t[i0:i0 + ASSOCIATIVITY_ROWS]
-        if not (rep := first_violation(
-                lambda i, j, k: fail("associativity", (i0 + i, j, k),
-                                     f"({i0 + i}+{j})+{k} != "
-                                     f"{i0 + i}+({j}+{k})"),
-                t[blk], blk[:, t])).ok:
+    ij = t.ravel()          # i+j at position i * n + j
+    for p0 in range(0, n * n, SCAN_CHUNK):
+        i, j = np.divmod(np.arange(p0, min(p0 + SCAN_CHUNK, n * n)), n)
+
+        def report(r, k):
+            a, b = int(i[r]), int(j[r])
+            return fail("associativity", (a, b, k),
+                        f"({a}+{b})+{k} != {a}+({b}+{k})")
+
+        if not (rep := first_violation(report, t[ij[p0:p0 + SCAN_CHUNK]],
+                                       entries(t, i[:, None], t[j]))).ok:
             return rep
 
     # every row is a permutation, so each i has one right inverse

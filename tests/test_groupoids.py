@@ -6,10 +6,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ggx.groups import (GroupAction, GroupHom, conjugation_action, cyclic,
-                        direct_product, klein_four, negation_action,
-                        symmetric_3)
-from ggx.groupoids import (INTERCHANGE_CHUNK, GGMorphism, GroupGroupoid,
+from ggx.groups import (SCAN_CHUNK, GroupAction, GroupHom,
+                        conjugation_action, cyclic, direct_product,
+                        klein_four, negation_action, symmetric_3)
+from ggx.groupoids import (GGMorphism, GroupGroupoid,
                            _composable_pairs, compose_arrows, costar,
                            discrete_gg, gg_conjugation_extension,
                            gg_from_xmod, gg_morphism_compose, gg_semidirect,
@@ -233,11 +233,11 @@ def test_interchange_inside_one_groupoid():
 
 
 def test_chunked_interchange_scan_keeps_the_first_witness():
-    # the discrete groupoid on z2 x zC, C = INTERCHANGE_CHUNK, with the
+    # the discrete groupoid on z2 x zC, C = SCAN_CHUNK, with the
     # composite of each pair (a, a), a = (1, x), shifted by (0, 1): the
     # pairs of the first chunk, a = (0, x), still interchange with the
     # group operation, and two pairs of the second chunk do not
-    c = INTERCHANGE_CHUNK
+    c = SCAN_CHUNK
     g = direct_product(cyclic(2), cyclic(c))
     tbl = g.np_table
     A, B, comp, comp_full = _composable_pairs(discrete_gg(g))

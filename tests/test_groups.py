@@ -9,8 +9,8 @@ import pytest
 import ggx.groups
 from ggx.catalog import catalog_build
 from ggx.equiv import theta
-from ggx.groups import (ASSOCIATIVITY_ROWS, FiniteGroup, GroupAction,
-                        GroupHom, SplitExtension,
+from ggx.groups import (SCAN_CHUNK, FiniteGroup, GroupAction,
+                        GroupHom, SplitExtension, entries,
                         compose, conjugation_action, conjugation_extension,
                         cyclic, derived_action, dihedral_8, direct_product,
                         image, is_injective, is_isomorphism, is_surjective,
@@ -52,19 +52,33 @@ def test_non_associative_latin_square_reported():
 
 def test_blocked_associativity_scan_keeps_the_first_witness():
     # z2^k with the columns h+1 and h+2 swapped in the rows h .. 2h-1:
-    # the elements below h = 2^(k-1) >= ASSOCIATIVITY_ROWS still associate
-    # on the left, so every violation lies past the first block of rows
-    h = 1 << max(ASSOCIATIVITY_ROWS - 1, 1).bit_length()
+    # the elements below h = 2^(k-1) still associate on the left, and h is
+    # large enough that every violation lies past the first block of
+    # SCAN_CHUNK pairs (i, j)
+    h = 2
+    while h * 2 * h < SCAN_CHUNK:
+        h *= 2
     rows = [[i ^ j for j in range(2 * h)] for i in range(2 * h)]
     for r in range(h, 2 * h):
         rows[r][h + 1], rows[r][h + 2] = rows[r][h + 2], rows[r][h + 1]
     loop = FiniteGroup.from_rows("late-loop", rows)
     t = np.array(rows)
     bad = np.argwhere(t[t] != t[:, t])    # every (i, j, k) in one grid
-    assert len(bad) and bad[:, 0].min() >= h >= ASSOCIATIVITY_ROWS
+    assert len(bad) and bad[:, 0].min() >= h
+    assert bad[0, 0] * 2 * h + bad[0, 1] >= SCAN_CHUNK
     rep = validate_group(loop)
     assert rep.axiom == "associativity"
     assert rep.witness == tuple(int(v) for v in bad[0])
+
+
+def test_entries_reads_compact_indices_past_the_int16_range():
+    # 199 * 200 + 199 overflows int16, so the flat positions must be intp
+    n = 200
+    m = np.arange(n * n).reshape(n, n)
+    x = np.array([[199, 3], [0, 150]], dtype=np.int16)
+    y = np.array([[199, 5], [1, 199]], dtype=np.int16)
+    assert (entries(m, x, y) == m[x, y]).all()
+    assert entries(m, x[:, :1], y).tolist() == [[39999, 39805], [1, 199]]
 
 
 def test_associativity_scan_memory_is_bounded():
