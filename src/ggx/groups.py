@@ -35,9 +35,9 @@ from .report import (BoundExceededError, DomainMismatchError, GgxError,
 
 Table = tuple[tuple[int, ...], ...]
 
-# rows per block of the blocked scans: pairs (i, j) of the associativity
-# scan here, composable pairs of the interchange scans in groupoids and dgg;
-# each block checks its rows against the whole of the other axis
+# pairs per block of the blocked scans: composable pairs of the interchange
+# scans in groupoids and dgg, pairs (i, j) of the associativity scan here;
+# each block checks its pairs against the whole of the other axis
 SCAN_CHUNK = 256
 
 
@@ -49,8 +49,8 @@ def index_dtype(n: int):
 
 def entries(m, x, y):
     """``m[x, y]`` for broadcastable index arrays ``x`` and ``y``, read as one
-    flat gather at ``x * n + y``.  The positions are computed in intp
-    whatever the dtype of ``x``, so compact indices cannot overflow."""
+    flat gather at ``x * m.shape[1] + y``.  The positions are computed in
+    intp whatever the dtype of ``x``, so compact indices cannot overflow."""
     return m.ravel()[np.multiply(x, m.shape[1], dtype=np.intp) + y]
 
 
@@ -172,19 +172,17 @@ def validate_group(g: FiniteGroup) -> ValidationReport:
         return fail("identity", (), "no two-sided identity element")
     identity = int(identities[0])
 
-    # (i+j)+k against i+(j+k), a block of pairs (i, j) at a time
+    # (i+j)+k against i+(j+k), whole rows i at a time: each block holds at
+    # least SCAN_CHUNK pairs (i, j), each checked against every k
     t = tbl.astype(index_dtype(n))
-    ij = t.ravel()          # i+j at position i * n + j
-    for p0 in range(0, n * n, SCAN_CHUNK):
-        i, j = np.divmod(np.arange(p0, min(p0 + SCAN_CHUNK, n * n)), n)
-
-        def report(r, k):
-            a, b = int(i[r]), int(j[r])
-            return fail("associativity", (a, b, k),
-                        f"({a}+{b})+{k} != {a}+({b}+{k})")
-
-        if not (rep := first_violation(report, t[ij[p0:p0 + SCAN_CHUNK]],
-                                       entries(t, i[:, None], t[j]))).ok:
+    rows = -(-SCAN_CHUNK // n)
+    for i0 in range(0, n, rows):
+        blk = t[i0:i0 + rows]
+        if not (rep := first_violation(
+                lambda i, j, k: fail("associativity", (i0 + i, j, k),
+                                     f"({i0 + i}+{j})+{k} != "
+                                     f"{i0 + i}+({j}+{k})"),
+                t[blk], np.take(blk, t, axis=1))).ok:
             return rep
 
     # every row is a permutation, so each i has one right inverse

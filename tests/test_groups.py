@@ -52,11 +52,11 @@ def test_non_associative_latin_square_reported():
 
 def test_blocked_associativity_scan_keeps_the_first_witness():
     # z2^k with the columns h+1 and h+2 swapped in the rows h .. 2h-1:
-    # the elements below h = 2^(k-1) still associate on the left, and h is
-    # large enough that every violation lies past the first block of
-    # SCAN_CHUNK pairs (i, j)
+    # the elements below h = 2^(k-1) still associate on the left, and a
+    # block holds the ceil(SCAN_CHUNK / 2h) <= h rows that give it at least
+    # SCAN_CHUNK pairs (i, j), so every violation lies past the first block
     h = 2
-    while h * 2 * h < SCAN_CHUNK:
+    while h < -(-SCAN_CHUNK // (2 * h)):
         h *= 2
     rows = [[i ^ j for j in range(2 * h)] for i in range(2 * h)]
     for r in range(h, 2 * h):
@@ -65,7 +65,6 @@ def test_blocked_associativity_scan_keeps_the_first_witness():
     t = np.array(rows)
     bad = np.argwhere(t[t] != t[:, t])    # every (i, j, k) in one grid
     assert len(bad) and bad[:, 0].min() >= h
-    assert bad[0, 0] * 2 * h + bad[0, 1] >= SCAN_CHUNK
     rep = validate_group(loop)
     assert rep.axiom == "associativity"
     assert rep.witness == tuple(int(v) for v in bad[0])
