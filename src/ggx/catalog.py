@@ -70,7 +70,7 @@ def _shear_xmod_v4_z2():
     gg = GroupGroupoid(v4, z2, pr_hi, pr_hi, GroupHom(z2, v4, (0, 2)))
     shear = (0, 1, 3, 2)
     ident = (0, 1, 2, 3)
-    perms = tuple(shear if b % 2 else ident for b in range(4))
+    perms = [shear if b % 2 else ident for b in range(4)]
     return XModGG(gg, gg, GroupHom.zero(v4, v4), GroupHom.zero(z2, z2),
                   GroupAction(v4, v4, perms))
 

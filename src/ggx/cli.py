@@ -14,6 +14,10 @@ Verbs:
                           soon as it is found).
 * ``catalog list`` / ``catalog emit NAME [-o OUT]``.
 
+Every verb exits 2 on a usage or parse error, and 3, after one line on
+stderr, on an internal error: an exception that is neither a parse error
+nor a :class:`~ggx.report.GgxError`.
+
 The ``GGX_MAX_ORDER`` environment variable overrides the default
 enumeration bound.
 """
@@ -275,6 +279,10 @@ def main(argv=None) -> int:
     except GgxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a fault in ggx itself, not a verdict on the document
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -29,8 +29,8 @@ import numpy as np
 
 from .groups import (SCAN_CHUNK, FiniteGroup, GroupHom, compose, entries,
                      is_injective, is_surjective, validate_hom)
-from .groupoids import (GroupGroupoid, _composable_pairs, groupoid_inverse,
-                        inverse_map, validate_group_groupoid)
+from .groupoids import (GroupGroupoid, groupoid_inverse, inverse_map,
+                        validate_group_groupoid)
 from .report import (VALID, NotComposableError, ValidationReport, fail,
                      first_violation, nested)
 from .xmod import XModGroups
@@ -135,12 +135,12 @@ def validate_dgg(d: DoubleGroupGroupoid) -> ValidationReport:
         if not rep.ok:
             return nested(where, rep)
 
-    dh = np.array([d.d0h.np_map, d.d1h.np_map])
-    dv = np.array([d.d0v.np_map, d.d1v.np_map])
-    dH = np.array([d.d0H.np_map, d.d1H.np_map])
-    dV = np.array([d.d0V.np_map, d.d1V.np_map])
-    epsh, epsv = d.epsh.np_map, d.epsv.np_map
-    epsH, epsV = d.epsH.np_map, d.epsV.np_map
+    dh = np.array([d.d0h.map, d.d1h.map])
+    dv = np.array([d.d0v.map, d.d1v.map])
+    dH = np.array([d.d0H.map, d.d1H.map])
+    dV = np.array([d.d0V.map, d.d1V.map])
+    epsh, epsv = d.epsh.map, d.epsv.map
+    epsH, epsV = d.epsH.map, d.epsV.map
     two = np.arange(2)
 
     # faces: d_i^H d_j^h = d_j^V d_i^v : S -> P, at (i, j, x)
@@ -182,8 +182,8 @@ def _derived_laws(d: DoubleGroupGroupoid, ggs: dict, dh, dv):
     functoriality of the compositions and inversions (asserted as
     self-checks), then the interchange of the two compositions with each
     other.  ``dh`` and ``dv`` stack the two face maps of each direction."""
-    pairs = {k: _composable_pairs(gg) for k, gg in ggs.items()}
-    epsh, epsv = d.epsh.np_map, d.epsv.np_map
+    pairs = {k: gg.composable_pairs for k, gg in ggs.items()}
+    epsh, epsv = d.epsh.map, d.epsv.map
     face = "a face map does not preserve composition"
     degen = "a degeneracy does not preserve composition"
     yield _preserves_composition("compat-comp-dh", face, pairs["v"], dh,
@@ -244,7 +244,7 @@ def _interchange_mixed(d, v_pairs, chf) -> ValidationReport:
     the left side's composability, so a grid whose left side fails to
     compose is a structural inconsistency and is reported as such.
     """
-    d0h, d1h = d.d0h.np_map, d.d1h.np_map
+    d0h, d1h = d.d0h.map, d.d1h.map
     # v-composable pairs indexed by position: value cv[i] = Bv[i] ov Av[i]
     Av, Bv, cv, cvf = v_pairs
     d0a, d1a, d0b, d1b = d0h[Av], d1h[Av], d0h[Bv], d1h[Bv]
@@ -321,8 +321,8 @@ def validate_dgg_morphism(m: DGGMorphism) -> ValidationReport:
     for name, pre, post in squares:
         rep = first_violation(
             lambda x: fail(f"square-{name}", (x,), f"{name} does not commute"),
-            post.np_map[getattr(a, name).np_map],
-            getattr(b, name).np_map[pre.np_map])
+            post.map[getattr(a, name).map],
+            getattr(b, name).map[pre.map])
         if not rep.ok:
             return rep
     return VALID

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import os
 from functools import cache
-from itertools import product
+
+import numpy as np
 
 from .groups import (FiniteGroup, GroupAction, GroupHom, cyclic, dihedral_8,
                      generating_sequence, generating_words, is_hom,
-                     klein_four, quaternion_8, symmetric_3)
+                     is_injective, klein_four, quaternion_8, symmetric_3)
 from .groupoids import (GGMorphism, GroupGroupoid, validate_group_groupoid,
                         validate_morphism_squares)
 from .report import BoundExceededError, GgxError
@@ -72,16 +73,15 @@ def all_homs(a: FiniteGroup, b: FiniteGroup,
     bound = resolve_bound(max_order)
     _check_bound(bound, a, b)
     gens = generating_sequence(a)
-    words = generating_words(a, gens)
-    out = []
-    for images in product(range(b.order), repeat=len(gens)):
-        m = [0] * a.order
-        for e, (prev, pos) in words:
-            m[e] = b.zero if prev == -1 else b.add(m[prev], images[pos])
-        f = GroupHom(a, b, tuple(m))
-        if is_hom(f):
-            out.append(f)
-    out.sort(key=lambda f: f.map)
+    # every tuple of generator images, in lexicographic order
+    images = np.indices((b.order,) * len(gens)).reshape(
+        len(gens), b.order ** len(gens))
+    maps = np.empty((images.shape[1], a.order), dtype=np.intp)
+    for e, (prev, pos) in generating_words(a, gens):
+        maps[:, e] = b.zero if prev == -1 else b.table[maps[:, prev],
+                                                       images[pos]]
+    out = [f for f in (GroupHom(a, b, m) for m in maps) if is_hom(f)]
+    out.sort(key=lambda f: f.map.tolist())
     return out
 
 
@@ -94,21 +94,16 @@ def automorphism_group(g: FiniteGroup,
     homomorphism into it is exactly an action."""
     bound = resolve_bound(max_order)
     _check_bound(bound, g)
-    autos = [f for f in all_homs(g, g, max_order=max_order)
-             if len(set(f.map)) == g.order]
-    autos.sort(key=lambda f: f.map)
+    autos = [f for f in all_homs(g, g, max_order=max_order) if is_injective(f)]
     n = len(autos)
-    pos = {f.map: i for i, f in enumerate(autos)}
-    rows = []
-    for i in range(n):
-        fi = autos[i].map
-        row = []
-        for j in range(n):
-            fj = autos[j].map
-            row.append(pos[tuple(fi[v] for v in fj)])
-        rows.append(tuple(row))
+    maps = np.array([f.map for f in autos])
+    # the composites [i, j] = autos[i] after autos[j] are again the autos,
+    # and np.unique lists rows in the same lexicographic order as all_homs,
+    # so its inverse indexes autos
+    _, table = np.unique(maps[:, maps].reshape(n * n, g.order), axis=0,
+                         return_inverse=True)
     aut = FiniteGroup(f"aut[{g.name}]", tuple(f"a{i}" for i in range(n)),
-                      tuple(rows))
+                      table.reshape(n, n))
     return aut, autos
 
 
@@ -120,11 +115,10 @@ def all_actions(b: FiniteGroup, a: FiniteGroup,
     bound = resolve_bound(max_order)
     _check_bound(bound, a, b)
     aut, autos = automorphism_group(a, max_order=max_order)
-    out = []
-    for f in all_homs(b, aut, max_order=max(bound, aut.order)):
-        perms = tuple(autos[f(x)].map for x in range(b.order))
-        out.append(GroupAction(b, a, perms))
-    out.sort(key=lambda act: act.perms)
+    maps = np.array([f.map for f in autos])
+    out = [GroupAction(b, a, maps[f.map])
+           for f in all_homs(b, aut, max_order=max(bound, aut.order))]
+    out.sort(key=lambda act: act.perms.tolist())
     return out
 
 
@@ -139,7 +133,8 @@ def all_xmod_groups(a: FiniteGroup, b: FiniteGroup,
             xm = XModGroups(a, b, bd, act)
             if validate_xmod_groups(xm).ok:
                 out.append(xm)
-    out.sort(key=lambda xm: (xm.boundary.map, xm.action.perms))
+    out.sort(key=lambda xm: (xm.boundary.map.tolist(),
+                             xm.action.perms.tolist()))
     return out
 
 
@@ -151,20 +146,20 @@ def all_gg_structures(g: FiniteGroup, g0: FiniteGroup,
     _check_bound(bound, g, g0)
     homs_down = all_homs(g, g0, max_order=max_order)
     homs_up = all_homs(g0, g, max_order=max_order)
+    objects = np.arange(g0.order)
     out = []
     for eps in homs_up:
-        if len(set(eps.map)) != g0.order:
+        if not is_injective(eps):
             continue  # a section must be injective
-        for d0 in homs_down:
-            if any(d0(eps(x)) != x for x in range(g0.order)):
-                continue
-            for d1 in homs_down:
-                if any(d1(eps(x)) != x for x in range(g0.order)):
-                    continue
+        sections = [f for f in homs_down
+                    if np.array_equal(f.map[eps.map], objects)]
+        for d0 in sections:
+            for d1 in sections:
                 gg = GroupGroupoid(g, g0, d0, d1, eps)
                 if validate_group_groupoid(gg).ok:
                     out.append(gg)
-    out.sort(key=lambda gg: (gg.d0.map, gg.d1.map, gg.eps.map))
+    out.sort(key=lambda gg: (gg.d0.map.tolist(), gg.d1.map.tolist(),
+                             gg.eps.map.tolist()))
     return out
 
 

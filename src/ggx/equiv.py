@@ -25,14 +25,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import (GroupAction, GroupHom, compose, conjugation_through,
-                     hom_restrict, is_injective, is_surjective, kernel,
-                     sd_index, semidirect_product)
-from .groupoids import GGMorphism, GroupGroupoid, object_action
+import numpy as np
+
+from .groups import (FiniteGroup, GroupAction, GroupHom, compose,
+                     conjugation_through, hom_restrict, is_injective,
+                     is_surjective, kernel, pair_map, read_back, sd_index)
+from .groupoids import (GGMorphism, GroupGroupoid, gg_from_xmod,
+                        object_action, splitting_map)
 from .report import ValidationReport
 from .dgg import DGGMorphism, DoubleGroupGroupoid, validate_dgg_morphism
-from .xmod import (XModGG, XModGGMorphism, XModGroups,
-                   validate_xmod_gg_morphism)
+from .xmod import (XModGG, XModGGMorphism, XModGroups, arrow_level,
+                   object_level_xmod, validate_xmod_gg_morphism)
 from .xsq import CrossedSquare, XSqMorphism, validate_xsq_morphism
 
 
@@ -57,6 +60,13 @@ def _verified(m, rep: ValidationReport, components) -> RoundTrip:
     return RoundTrip(ok, m, rep)
 
 
+def _into_kernel(a: FiniteGroup, b: FiniteGroup, f: GroupHom) -> np.ndarray:
+    """``x -> (x, 0)`` from ``a`` into its product with ``b``, read back
+    into the kernel of ``f``, a map out of that product."""
+    return read_back(sd_index(b.order, np.arange(a.order), b.zero),
+                     kernel(f)[1], "a pair (x, 0) left the kernel")
+
+
 # ---------------------------------------------------------------------------
 # theta : crossed modules over group-groupoids -> double group-groupoids
 
@@ -71,55 +81,29 @@ def theta(xm: XModGG) -> DoubleGroupGroupoid:
     ``d1V(x,y) = bdry0(x) + y``, ``epsV(y) = (0,y)``.
     """
     G, H = xm.g, xm.h
-    S = semidirect_product(G.arrows, H.arrows, xm.action)
-    V = semidirect_product(G.objects, H.objects,
-                           object_action(xm.action, G, H))
+    sh = gg_from_xmod(arrow_level(xm))          # (S, H)
+    vp = gg_from_xmod(object_level_xmod(xm))    # (V, P)
+    S, V = sh.arrows, vp.arrows
     nh, np_ = H.arrows.order, H.objects.order
-    bd1, bd0 = xm.boundary_arrows, xm.boundary_objects
-
-    d0h = GroupHom(S, H.arrows, tuple(k % nh for k in range(S.order)))
-    d1h = GroupHom(S, H.arrows,
-                   tuple(H.arrows.add(bd1(k // nh), k % nh)
-                         for k in range(S.order)))
-    epsh = GroupHom(H.arrows, S,
-                    tuple(sd_index(nh, G.arrows.zero, b) for b in range(nh)))
-    d0v = GroupHom(S, V, tuple(sd_index(np_, G.d0(k // nh), H.d0(k % nh))
-                               for k in range(S.order)))
-    d1v = GroupHom(S, V, tuple(sd_index(np_, G.d1(k // nh), H.d1(k % nh))
-                               for k in range(S.order)))
-    epsv = GroupHom(V, S, tuple(sd_index(nh, G.eps(m // np_), H.eps(m % np_))
-                                for m in range(V.order)))
-    d0V = GroupHom(V, H.objects, tuple(m % np_ for m in range(V.order)))
-    d1V = GroupHom(V, H.objects,
-                   tuple(H.objects.add(bd0(m // np_), m % np_)
-                         for m in range(V.order)))
-    epsV = GroupHom(H.objects, V,
-                    tuple(sd_index(np_, G.objects.zero, y) for y in range(np_)))
     return DoubleGroupGroupoid(
         s=S, h=H.arrows, v=V, p=H.objects,
-        d0h=d0h, d1h=d1h, epsh=epsh,
-        d0v=d0v, d1v=d1v, epsv=epsv,
+        d0h=sh.d0, d1h=sh.d1, epsh=sh.eps,
+        d0v=GroupHom(S, V, pair_map(G.d0.map, H.d0.map, np_)),
+        d1v=GroupHom(S, V, pair_map(G.d1.map, H.d1.map, np_)),
+        epsv=GroupHom(V, S, pair_map(G.eps.map, H.eps.map, nh)),
         d0H=H.d0, d1H=H.d1, epsH=H.eps,
-        d0V=d0V, d1V=d1V, epsV=epsV)
+        d0V=vp.d0, d1V=vp.d1, epsV=vp.eps)
 
 
 def theta_morphism(m: XModGGMorphism) -> DGGMorphism:
     """The image of a morphism of crossed modules over group-groupoids:
     componentwise pair maps on squares and vertical edges."""
     dom, cod = theta(m.domain), theta(m.codomain)
-    nh_d = m.domain.h.arrows.order
-    nh_c = m.codomain.h.arrows.order
-    np_d = m.domain.h.objects.order
-    np_c = m.codomain.h.objects.order
-    f1, f0 = m.f.on_arrows, m.f.on_objects
-    g1, g0 = m.g.on_arrows, m.g.on_objects
-    fs = GroupHom(dom.s, cod.s,
-                  tuple(sd_index(nh_c, f1(k // nh_d), g1(k % nh_d))
-                        for k in range(dom.s.order)))
-    fv = GroupHom(dom.v, cod.v,
-                  tuple(sd_index(np_c, f0(k // np_d), g0(k % np_d))
-                        for k in range(dom.v.order)))
-    return DGGMorphism(dom, cod, fs, g1, fv, g0)
+    fs = GroupHom(dom.s, cod.s, pair_map(m.f.on_arrows.map, m.g.on_arrows.map,
+                                         cod.h.order))
+    fv = GroupHom(dom.v, cod.v, pair_map(m.f.on_objects.map,
+                                         m.g.on_objects.map, cod.p.order))
+    return DGGMorphism(dom, cod, fs, m.g.on_arrows, fv, m.g.on_objects)
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +142,10 @@ def roundtrip_theta_gamma(d: DoubleGroupGroupoid) -> RoundTrip:
     dd = theta(gamma(d))
     _, incK = kernel(d.d0h)
     _, incK0 = kernel(d.d0V)
-    nh, np_ = d.h.order, d.p.order
-    S, V = d.s, d.v
-    fs = GroupHom(dd.s, d.s, tuple(S.add(incK(k // nh), d.epsh(k % nh))
-                                   for k in range(dd.s.order)))
-    fv = GroupHom(dd.v, d.v,
-                  tuple(V.add(incK0(m // np_), d.epsV(m % np_))
-                        for m in range(dd.v.order)))
+    fs = GroupHom(dd.s, d.s, d.s.table[incK.map[:, None],
+                                       d.epsh.map[None, :]].ravel())
+    fv = GroupHom(dd.v, d.v, d.v.table[incK0.map[:, None],
+                                       d.epsV.map[None, :]].ravel())
     m = DGGMorphism(dd, d, fs, GroupHom.identity(d.h), fv,
                     GroupHom.identity(d.p))
     return _verified(m, validate_dgg_morphism(m),
@@ -180,17 +161,12 @@ def roundtrip_gamma_theta(xm: XModGG) -> RoundTrip:
     """
     dd = theta(xm)
     xm2 = gamma(dd)
-    nh = xm.h.arrows.order
-    np_ = xm.h.objects.order
-    posK = {v: i for i, v in enumerate(kernel(dd.d0h)[1].map)}
-    posK0 = {v: i for i, v in enumerate(kernel(dd.d0V)[1].map)}
-    amap = tuple(posK[sd_index(nh, a, xm.h.arrows.zero)]
-                 for a in range(xm.g.arrows.order))
-    omap = tuple(posK0[sd_index(np_, x, xm.h.objects.zero)]
-                 for x in range(xm.g.objects.order))
-    f = GGMorphism(xm.g, xm2.g,
-                   GroupHom(xm.g.arrows, xm2.g.arrows, amap),
-                   GroupHom(xm.g.objects, xm2.g.objects, omap))
+    G, H = xm.g, xm.h
+    f = GGMorphism(G, xm2.g,
+                   GroupHom(G.arrows, xm2.g.arrows,
+                            _into_kernel(G.arrows, H.arrows, dd.d0h)),
+                   GroupHom(G.objects, xm2.g.objects,
+                            _into_kernel(G.objects, H.objects, dd.d0V)))
     g = GGMorphism(xm.h, xm2.h,
                    GroupHom.identity(xm.h.arrows),
                    GroupHom.identity(xm.h.objects))
@@ -212,26 +188,20 @@ def delta(xm: XModGG) -> CrossedSquare:
     L, incL = kernel(G.d0)
     M, incM = kernel(H.d0)
     N, P = G.objects, H.objects
-    posL = {v: i for i, v in enumerate(incL.map)}
+    act, eG = xm.action.perms, G.eps.map
+    message = "an element left Ker d0"
 
     lam = hom_restrict(xm.boundary_arrows, incL, incM)
-    lam_p = compose(incL, G.d1)
-    mu = compose(incM, H.d1)
-    nu = xm.boundary_objects
-
-    arrG = G.arrows
-    act_p_on_l = GroupAction(P, L, tuple(
-        tuple(posL[xm.action.act(H.eps(p), incL(i))] for i in range(L.order))
-        for p in range(P.order)))
-    act_p_on_m = conjugation_through(H.eps, incM)
-    act_p_on_n = object_action(xm.action, G, H)
-
-    hmap = tuple(
-        tuple(posL[arrG.sub(xm.action.act(incM(m), G.eps(n)), G.eps(n))]
-              for n in range(N.order))
-        for m in range(M.order))
-    return CrossedSquare(L, M, N, P, lam, lam_p, mu, nu,
-                         act_p_on_l, act_p_on_m, act_p_on_n, hmap)
+    act_p_on_l = GroupAction(P, L, read_back(
+        act[H.eps.map[:, None], incL.map[None, :]], incL, message))
+    # h(m, n) = m . eps(n) - eps(n)
+    hmap = read_back(G.arrows.table[act[incM.map[:, None], eG[None, :]],
+                                    G.arrows.inverse[eG][None, :]],
+                     incL, message)
+    return CrossedSquare(L, M, N, P, lam, compose(incL, G.d1),
+                         compose(incM, H.d1), xm.boundary_objects,
+                         act_p_on_l, conjugation_through(H.eps, incM),
+                         object_action(xm.action, G, H), hmap)
 
 
 # ---------------------------------------------------------------------------
@@ -242,33 +212,21 @@ def eta(xs: CrossedSquare) -> XModGG:
     """Rebuild the two group-groupoids from the columns of the square and
     act through the pairing:
     ``(m,p) . (l,n) = (m.(p.l) + h(m, p.n), p.n)``."""
-    from .groupoids import gg_from_xmod
     L, M, N, P = xs.l, xs.m, xs.n, xs.p
-    act_n_on_l = GroupAction(N, L, tuple(
-        tuple(xs.act_p_on_l.act(xs.nu(n), l) for l in range(L.order))
-        for n in range(N.order)))
-    xmG = XModGroups(L, N, xs.lam_prime, act_n_on_l)
-    xmH = XModGroups(M, P, xs.mu, xs.act_p_on_m)
-    Ggg = gg_from_xmod(xmG)
-    Hgg = gg_from_xmod(xmH)
-    nn, npp = N.order, P.order
+    PL, PN = xs.act_p_on_l.perms, xs.act_p_on_n.perms
+    Ggg = gg_from_xmod(XModGroups(L, N, xs.lam_prime,
+                                  GroupAction(N, L, PL[xs.nu.map])))
+    Hgg = gg_from_xmod(XModGroups(M, P, xs.mu, xs.act_p_on_m))
     bd1 = GroupHom(Ggg.arrows, Hgg.arrows,
-                   tuple(sd_index(npp, xs.lam(k // nn), xs.nu(k % nn))
-                         for k in range(Ggg.arrows.order)))
-    bd0 = xs.nu
-    rows = []
-    for bk in range(Hgg.arrows.order):
-        m, p = divmod(bk, npp)
-        row = []
-        for ak in range(Ggg.arrows.order):
-            l, n = divmod(ak, nn)
-            pl = xs.act_p_on_l.act(p, l)
-            pn = xs.act_p_on_n.act(p, n)
-            lpart = L.add(xs.act_p_on_l.act(xs.mu(m), pl), xs.hmap[m][pn])
-            row.append(sd_index(nn, lpart, pn))
-        rows.append(tuple(row))
-    act = GroupAction(Hgg.arrows, Ggg.arrows, tuple(rows))
-    return XModGG(Ggg, Hgg, bd1, bd0, act)
+                   pair_map(xs.lam.map, xs.nu.map, P.order))
+    # at (m, p, l, n): mu(m).(p.l) + h(m, p.n), by the axes of PL[mu][:, PL]
+    # (m, p, l) and of hmap[:, PN] (m, p, n)
+    lpart = L.table[PL[xs.mu.map][:, PL][..., None],
+                    xs.hmap[:, PN][:, :, None, :]]
+    act = GroupAction(Hgg.arrows, Ggg.arrows,
+                      sd_index(N.order, lpart, PN[:, None, :])
+                      .reshape(Hgg.arrows.order, Ggg.arrows.order))
+    return XModGG(Ggg, Hgg, bd1, xs.nu, act)
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +241,11 @@ def roundtrip_eta_delta(xm: XModGG) -> RoundTrip:
     xs = delta(xm)
     xm2 = eta(xs)
     G, H = xm.g, xm.h
-    posL = {v: i for i, v in enumerate(kernel(G.d0)[1].map)}
-    posM = {v: i for i, v in enumerate(kernel(H.d0)[1].map)}
-    nn = G.objects.order
-    npp = H.objects.order
-
-    amap = tuple(sd_index(nn, posL[G.arrows.sub(a, G.eps(G.d0(a)))], G.d0(a))
-                 for a in range(G.arrows.order))
-    bmap = tuple(sd_index(npp, posM[H.arrows.sub(b, H.eps(H.d0(b)))], H.d0(b))
-                 for b in range(H.arrows.order))
     f = GGMorphism(G, xm2.g,
-                   GroupHom(G.arrows, xm2.g.arrows, amap),
+                   GroupHom(G.arrows, xm2.g.arrows, splitting_map(G)),
                    GroupHom.identity(G.objects))
     g = GGMorphism(H, xm2.h,
-                   GroupHom(H.arrows, xm2.h.arrows, bmap),
+                   GroupHom(H.arrows, xm2.h.arrows, splitting_map(H)),
                    GroupHom.identity(H.objects))
     m = XModGGMorphism(xm, xm2, f, g)
     return _verified(m, validate_xmod_gg_morphism(m),
@@ -309,15 +258,8 @@ def roundtrip_delta_eta(xs: CrossedSquare) -> RoundTrip:
     groups, and verify it is an isomorphism of crossed squares."""
     xm = eta(xs)
     xs2 = delta(xm)
-    nn, npp = xs.n.order, xs.p.order
-    posL2 = {v: i for i, v in enumerate(kernel(xm.g.d0)[1].map)}
-    posM2 = {v: i for i, v in enumerate(kernel(xm.h.d0)[1].map)}
-    fl = GroupHom(xs.l, xs2.l,
-                  tuple(posL2[sd_index(nn, l, xs.n.zero)]
-                        for l in range(xs.l.order)))
-    fm = GroupHom(xs.m, xs2.m,
-                  tuple(posM2[sd_index(npp, m, xs.p.zero)]
-                        for m in range(xs.m.order)))
+    fl = GroupHom(xs.l, xs2.l, _into_kernel(xs.l, xs.n, xm.g.d0))
+    fm = GroupHom(xs.m, xs2.m, _into_kernel(xs.m, xs.p, xm.h.d0))
     m = XSqMorphism(xs, xs2, fl, fm,
                     GroupHom.identity(xs.n), GroupHom.identity(xs.p))
     return _verified(m, validate_xsq_morphism(m),

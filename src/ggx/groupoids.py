@@ -17,13 +17,15 @@ groupoid composition) and then asserts every derived law exhaustively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .groups import (SCAN_CHUNK, FiniteGroup, GroupAction, GroupHom,
                      SplitExtension, compose, conjugation_action,
-                     conjugation_through, entries, freeze_table, index_dtype,
-                     kernel, sd_index, semidirect_product, trivial_group,
+                     conjugation_through, direct_product, entries,
+                     index_dtype, kernel, pair_map, read_back, sd_index,
+                     semidirect_product, split_maps, trivial_group,
                      validate_group, validate_hom, validate_split_extension)
 from .report import (VALID, NotComposableError, ValidationReport, fail,
                      first_violation, nested)
@@ -43,6 +45,23 @@ class GroupGroupoid:
     def name(self) -> str:
         return f"{self.arrows.name}/{self.objects.name}"
 
+    @cached_property
+    def composable_pairs(self):
+        """Index arrays ``(A, B)`` of all pairs with ``d1(A) = d0(B)``, the
+        composite of each pair, and the full composite matrix (-1 =
+        undefined) in the compact :func:`~ggx.groups.index_dtype`; built
+        once per value, read-only."""
+        d0m = self.d0.map
+        A, B = np.nonzero(self.d1.map[:, None] == d0m[None, :])
+        tbl, neg = self.arrows.table, self.arrows.inverse
+        comp = tbl[tbl[B, neg[self.eps.map[d0m[B]]]], A]
+        n = self.arrows.order
+        full = np.full((n, n), -1, dtype=index_dtype(n))
+        full[A, B] = comp
+        for arr in (A, B, comp, full):
+            arr.setflags(write=False)
+        return A, B, comp, full
+
     def __repr__(self) -> str:
         return f"GroupGroupoid({self.name})"
 
@@ -61,14 +80,14 @@ def groupoid_inverse(gg: GroupGroupoid, a: int) -> int:
     return int(inverse_map(gg)[a])
 
 
-def star(gg: GroupGroupoid, x: int) -> tuple[int, ...]:
+def star(gg: GroupGroupoid, x: int) -> np.ndarray:
     """Arrows with source ``x``."""
-    return tuple(a for a in range(gg.arrows.order) if gg.d0(a) == x)
+    return np.flatnonzero(gg.d0.map == x)
 
 
-def costar(gg: GroupGroupoid, x: int) -> tuple[int, ...]:
+def costar(gg: GroupGroupoid, x: int) -> np.ndarray:
     """Arrows with target ``x``."""
-    return tuple(a for a in range(gg.arrows.order) if gg.d1(a) == x)
+    return np.flatnonzero(gg.d1.map == x)
 
 
 def ker_d0(gg: GroupGroupoid):
@@ -84,27 +103,10 @@ def ker_d1(gg: GroupGroupoid):
 # Validation
 
 
-def _composable_pairs(gg: GroupGroupoid):
-    """Index arrays ``(A, B)`` of all pairs with ``d1(A) = d0(B)``, plus the
-    composite of each pair and a full composite matrix (-1 = undefined) in
-    the compact :func:`~ggx.groups.index_dtype`."""
-    d0m, d1m = gg.d0.np_map, gg.d1.np_map
-    mask = d1m[:, None] == d0m[None, :]
-    A, B = np.nonzero(mask)
-    tbl, neg = gg.arrows.np_table, gg.arrows.np_neg
-    em = gg.eps.np_map
-    comp = tbl[tbl[B, neg[em[d0m[B]]]], A]
-    n = gg.arrows.order
-    full = np.full((n, n), -1, dtype=index_dtype(n))
-    full[A, B] = comp
-    return A, B, comp, full
-
-
 def inverse_map(gg: GroupGroupoid) -> np.ndarray:
     """The groupoid inverse ``eps(d0(a)) - a + eps(d1(a))`` of every arrow."""
-    tbl, neg = gg.arrows.np_table, gg.arrows.np_neg
-    em = gg.eps.np_map
-    return tbl[tbl[em[gg.d0.np_map], neg], em[gg.d1.np_map]]
+    tbl, em = gg.arrows.table, gg.eps.map
+    return tbl[tbl[em[gg.d0.map], gg.arrows.inverse], em[gg.d1.map]]
 
 
 def validate_group_groupoid(gg: GroupGroupoid) -> ValidationReport:
@@ -133,7 +135,7 @@ def validate_group_groupoid(gg: GroupGroupoid) -> ValidationReport:
         if not rep.ok:
             return nested(where, rep)
 
-    d0m, d1m, em = gg.d0.np_map, gg.d1.np_map, gg.eps.np_map
+    d0m, d1m, em = gg.d0.map, gg.d1.map, gg.eps.map
     objs = np.arange(gg.objects.order)
     if not (rep := first_violation(
             lambda x, k: fail(("sec-d0", "sec-d1")[k], (x,),
@@ -141,7 +143,7 @@ def validate_group_groupoid(gg: GroupGroupoid) -> ValidationReport:
             np.array([d0m[em], d1m[em]]).T, objs[:, None])).ok:
         return rep
 
-    tbl = gg.arrows.np_table
+    tbl = gg.arrows.table
     zero_obj = gg.objects.zero
     K0 = np.flatnonzero(d0m == zero_obj)
     K1 = np.flatnonzero(d1m == zero_obj)
@@ -152,13 +154,13 @@ def validate_group_groupoid(gg: GroupGroupoid) -> ValidationReport:
             tbl[K0[:, None], K1], tbl[K1[:, None], K0].T)).ok:
         return rep
 
-    A, B, comp, comp_full = pairs = _composable_pairs(gg)
+    A, B, comp, comp_full = pairs = gg.composable_pairs
 
     def at_pair(tag, message):
         return lambda i: fail(tag, (int(A[i]), int(B[i])), message)
 
     # the two composition formulas agree: b - eps(d0 b) + a == a - eps(d1 a) + b
-    neg = gg.arrows.np_neg
+    neg = gg.arrows.inverse
     if not (rep := first_violation(
             at_pair("comp-agree",
                     "the two derived composition formulas disagree"),
@@ -265,18 +267,18 @@ def validate_morphism_squares(m: GGMorphism) -> ValidationReport:
     """The axiom half of :func:`validate_gg_morphism`, for component maps
     already known to be homomorphisms between the right groups: ``d0``,
     ``d1`` (per arrow) and then ``eps`` commute with the morphism."""
-    f1, f0 = m.on_arrows.np_map, m.on_objects.np_map
+    f1, f0 = m.on_arrows.map, m.on_objects.map
     dom, cod = m.domain, m.codomain
     if not (rep := first_violation(
             lambda a, k: fail(("square-d0", "square-d1")[k], (a,),
                               f"d{k} does not commute with the morphism"),
-            np.array([cod.d0.np_map[f1], cod.d1.np_map[f1]]).T,
-            np.array([f0[dom.d0.np_map], f0[dom.d1.np_map]]).T)).ok:
+            np.array([cod.d0.map[f1], cod.d1.map[f1]]).T,
+            np.array([f0[dom.d0.map], f0[dom.d1.map]]).T)).ok:
         return rep
     return first_violation(
         lambda x: fail("square-eps", (x,),
                        "eps does not commute with the morphism"),
-        f1[dom.eps.np_map], cod.eps.np_map[f0])
+        f1[dom.eps.map], cod.eps.map[f0])
 
 
 def gg_morphism_compose(m1: GGMorphism, m2: GGMorphism) -> GGMorphism:
@@ -310,13 +312,11 @@ def trivial_gg() -> GroupGroupoid:
 def pair_gg(g: FiniteGroup) -> GroupGroupoid:
     """Arrows are ordered pairs over ``g``: d0(a,b) = a, d1(a,b) = b,
     eps(a) = (a,a); the composite of (a,b) and (b,c) is (a,c)."""
-    from .groups import direct_product
     arrows = direct_product(g, g, name=f"pair({g.name})")
-    n = g.order
-    d0 = GroupHom(arrows, g, tuple(k // n for k in range(n * n)))
-    d1 = GroupHom(arrows, g, tuple(k % n for k in range(n * n)))
-    eps = GroupHom(g, arrows, tuple(sd_index(n, x, x) for x in range(n)))
-    return GroupGroupoid(arrows, g, d0, d1, eps)
+    n, k = g.order, np.arange(arrows.order)
+    return GroupGroupoid(arrows, g, GroupHom(arrows, g, k // n),
+                         GroupHom(arrows, g, k % n),
+                         GroupHom(g, arrows, np.arange(n) * (n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +329,10 @@ def gg_from_xmod(xm) -> GroupGroupoid:
     ``d1(a,b) = bdry(a) + b`` and ``eps(b) = (0,b)``."""
     a, b = xm.a, xm.b
     arrows = semidirect_product(a, b, xm.action)
-    nb = b.order
-    d0 = GroupHom(arrows, b, tuple(k % nb for k in range(arrows.order)))
+    _, d0, eps = split_maps(a, b, arrows)
+    k = np.arange(arrows.order)
     d1 = GroupHom(arrows, b,
-                  tuple(b.add(xm.boundary(k // nb), k % nb)
-                        for k in range(arrows.order)))
-    eps = GroupHom(b, arrows, tuple(sd_index(nb, a.zero, y) for y in range(nb)))
+                  b.table[xm.boundary.map[k // b.order], k % b.order])
     return GroupGroupoid(arrows, b, d0, d1, eps)
 
 
@@ -356,19 +354,20 @@ def splitting_iso(gg: GroupGroupoid) -> GGMorphism:
     ``Ker d0``; pairing the first component with the target map instead
     would leave the kernel.
     """
-    xm = xmod_from_gg(gg)
-    rebuilt = gg_from_xmod(xm)
-    K, inc = ker_d0(gg)
-    pos = {v: i for i, v in enumerate(inc.map)}
-    arr = gg.arrows
-    nb = gg.objects.order
-    amap = []
-    for a in range(arr.order):
-        k = pos[arr.sub(a, gg.eps(gg.d0(a)))]
-        amap.append(sd_index(nb, k, gg.d0(a)))
+    rebuilt = gg_from_xmod(xmod_from_gg(gg))
     return GGMorphism(gg, rebuilt,
-                      GroupHom(arr, rebuilt.arrows, tuple(amap)),
+                      GroupHom(gg.arrows, rebuilt.arrows, splitting_map(gg)),
                       GroupHom.identity(gg.objects))
+
+
+def splitting_map(gg: GroupGroupoid) -> np.ndarray:
+    """``a -> (a - eps(d0(a)), d0(a))`` for every arrow, as pair indices of
+    ``Ker d0`` by the objects."""
+    _, inc = ker_d0(gg)
+    arr, d0 = gg.arrows, gg.d0.map
+    k = read_back(arr.table[np.arange(arr.order), arr.inverse[gg.eps.map[d0]]],
+                  inc, "a - eps(d0(a)) left Ker d0")
+    return sd_index(gg.objects.order, k, d0)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +411,8 @@ def object_action(act: GroupAction, g: GroupGroupoid,
                   h: GroupGroupoid) -> GroupAction:
     """From an action of the arrows of ``h`` on the arrows of ``g``, the
     derived object-level action ``y . x = d0(eps(y) . eps(x))``."""
-    rows = g.d0.np_map[act.np_perms[h.eps.np_map[:, None], g.eps.np_map]]
-    return GroupAction(h.objects, g.objects, freeze_table(rows.tolist()))
+    return GroupAction(h.objects, g.objects,
+                       g.d0.map[act.perms[h.eps.map[:, None], g.eps.map]])
 
 
 def gg_semidirect(g: GroupGroupoid, h: GroupGroupoid,
@@ -421,43 +420,23 @@ def gg_semidirect(g: GroupGroupoid, h: GroupGroupoid,
     """Semidirect product of group-groupoids for an arrow-level action:
     arrows and objects are the two semidirect products, structure maps act
     componentwise."""
-    obj_act = object_action(act, g, h)
     arrows = semidirect_product(g.arrows, h.arrows, act)
-    objects = semidirect_product(g.objects, h.objects, obj_act)
+    objects = semidirect_product(g.objects, h.objects,
+                                 object_action(act, g, h))
     na, nh = h.arrows.order, h.objects.order
-    d0 = GroupHom(arrows, objects,
-                  tuple(sd_index(nh, g.d0(k // na), h.d0(k % na))
-                        for k in range(arrows.order)))
-    d1 = GroupHom(arrows, objects,
-                  tuple(sd_index(nh, g.d1(k // na), h.d1(k % na))
-                        for k in range(arrows.order)))
-    eps = GroupHom(objects, arrows,
-                   tuple(sd_index(na, g.eps(m // nh), h.eps(m % nh))
-                         for m in range(objects.order)))
-    return GroupGroupoid(arrows, objects, d0, d1, eps)
+    return GroupGroupoid(
+        arrows, objects,
+        GroupHom(arrows, objects, pair_map(g.d0.map, h.d0.map, nh)),
+        GroupHom(arrows, objects, pair_map(g.d1.map, h.d1.map, nh)),
+        GroupHom(objects, arrows, pair_map(g.eps.map, h.eps.map, na)))
 
 
 def gg_conjugation_extension(gg: GroupGroupoid) -> SplitExtensionGG:
     """The split extension of ``gg`` by itself realizing conjugation,
     with ``iota(a) = (a, 0)``, ``p(a, a1) = a1`` and ``s(a) = (0, a)``."""
-    act = conjugation_action(gg.arrows)
-    k = gg_semidirect(gg, gg, act)
-    na, nh = gg.arrows.order, gg.objects.order
-    iota = GGMorphism(
-        gg, k,
-        GroupHom(gg.arrows, k.arrows,
-                 tuple(sd_index(na, a, gg.arrows.zero) for a in range(na))),
-        GroupHom(gg.objects, k.objects,
-                 tuple(sd_index(nh, x, gg.objects.zero) for x in range(nh))))
-    p = GGMorphism(
-        k, gg,
-        GroupHom(k.arrows, gg.arrows, tuple(v % na for v in range(k.arrows.order))),
-        GroupHom(k.objects, gg.objects,
-                 tuple(v % nh for v in range(k.objects.order))))
-    s = GGMorphism(
-        gg, k,
-        GroupHom(gg.arrows, k.arrows,
-                 tuple(sd_index(na, gg.arrows.zero, a) for a in range(na))),
-        GroupHom(gg.objects, k.objects,
-                 tuple(sd_index(nh, gg.objects.zero, x) for x in range(nh))))
-    return SplitExtensionGG(gg, k, gg, iota, p, s)
+    k = gg_semidirect(gg, gg, conjugation_action(gg.arrows))
+    ia, pa, sa = split_maps(gg.arrows, gg.arrows, k.arrows)
+    io, po, so = split_maps(gg.objects, gg.objects, k.objects)
+    return SplitExtensionGG(gg, k, gg, GGMorphism(gg, k, ia, io),
+                            GGMorphism(k, gg, pa, po),
+                            GGMorphism(gg, k, sa, so))

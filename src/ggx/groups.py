@@ -6,19 +6,23 @@ Conventions used by the whole package:
 * Elements of a group of order ``n`` are the integer indices ``0 .. n-1``;
   a parallel tuple of names exists purely for I/O.
 * The operation is written additively even for nonabelian groups:
-  ``table[i][j]`` is the index of ``i + j``; :attr:`FiniteGroup.zero` is the
-  identity index and ``neg`` the inverse.
-* Actions are stored as explicit permutation tables (one permutation of the
-  target per actor element), which keeps every axiom check exhaustive at the
-  small orders this package targets.
-* Values are immutable after construction; validators are pure functions
-  returning :class:`~ggx.report.ValidationReport`.  Operations assume their
-  inputs already validated.
+  ``table[i, j]`` is the index of ``i + j``; :attr:`FiniteGroup.zero` is the
+  identity index and :attr:`FiniteGroup.inverse` the inverse of every
+  element.
+* Every table is stored once, as a read-only ``np.intp`` array (see
+  :func:`index_array`): a group's Cayley table, a homomorphism's map, an
+  action's permutation table (one permutation of the target per actor
+  element) and a crossed square's pairing.  Constructors accept any
+  rectangular nested sequence of integers and convert it once.
+* Values are immutable after construction and compare by content (see
+  :class:`IndexArrays`); validators are pure functions returning
+  :class:`~ggx.report.ValidationReport`.  Operations assume their inputs
+  already validated.
 * :func:`validate_group`, :func:`validate_hom` and :func:`validate_action`
   run at most once per value: each keeps its report on the value it
-  checked, as :attr:`FiniteGroup.np_table` keeps the table.  A hom checks
-  its domain and codomain, and an action its actor and target, before its
-  own laws.
+  checked, as :attr:`FiniteGroup.inverse` is kept once computed.  A hom
+  checks its domain and codomain, and an action its actor and target,
+  before its own laws.
 """
 
 from __future__ import annotations
@@ -33,11 +37,9 @@ from .report import (BoundExceededError, DomainMismatchError, GgxError,
                      ValidationReport, fail, first_violation, nested,
                      once_per_value)
 
-Table = tuple[tuple[int, ...], ...]
-
 # pairs per block of the blocked scans: composable pairs of the interchange
-# scans in groupoids and dgg, pairs (i, j) of the associativity scan here;
-# each block checks its pairs against the whole of the other axis
+# scans in groupoids, dgg and xmod, pairs (i, j) of the associativity scan
+# here; each block checks its pairs against the whole of the other axis
 SCAN_CHUNK = 256
 
 
@@ -54,75 +56,115 @@ def entries(m, x, y):
     return m.ravel()[np.multiply(x, m.shape[1], dtype=np.intp) + y]
 
 
-def freeze_table(rows) -> Table:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+def index_array(values) -> np.ndarray:
+    """A fresh read-only ``np.intp`` copy of ``values``, any rectangular
+    nested sequence of integers: the one stored form of every table."""
+    try:
+        arr = np.array(values, dtype=np.intp)
+    except (TypeError, ValueError) as exc:
+        raise GgxError(f"not a rectangular table of indices: {exc}") from None
+    arr.setflags(write=False)
+    return arr
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class IndexArrays:
+    """Value semantics for the frozen dataclasses that hold tables.
+
+    The fields named in ``ARRAYS`` are converted by :func:`index_array` at
+    construction.  Equality and hashing compare every field, each array as
+    its shape and bytes; equality short-circuits on identity.  Reports and
+    derived arrays cached in the instance's ``__dict__`` are not fields, so
+    they never join either.
+    """
+
+    ARRAYS: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for name in self.ARRAYS:
+            object.__setattr__(self, name, index_array(getattr(self, name)))
+
+    def _key(self) -> tuple:
+        # a dataclass lists its fields in __match_args__
+        return tuple((x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x
+                     for x in map(self.__getattribute__, self.__match_args__))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+def members(n: int, indices) -> np.ndarray:
+    """The boolean mask of ``indices`` among ``0 .. n-1``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[np.asarray(indices, dtype=np.intp)] = True
+    return mask
+
+
+def require(ok, message: str, *axes) -> None:
+    """Raise :class:`GgxError` with ``message`` at the first false entry of
+    the boolean array ``ok`` in row-major order; the witness reads each
+    index of that entry through the matching index array of ``axes``."""
+    if not ok.all():
+        first = np.argwhere(~ok)[0]
+        witness = ",".join(str(ax[i]) for ax, i in zip(axes, first))
+        raise GgxError(f"{message}: witness ({witness})")
+
+
+@dataclass(frozen=True, eq=False)
+class FiniteGroup(IndexArrays):
     """A finite group given by an element list and a Cayley table."""
 
     name: str
     elements: tuple[str, ...]
-    table: Table
+    table: np.ndarray
+
+    ARRAYS = ("table",)
 
     @staticmethod
     def from_rows(name: str, rows, elements=None) -> "FiniteGroup":
-        table = freeze_table(rows)
         if elements is None:
-            elements = tuple(str(i) for i in range(len(table)))
-        return FiniteGroup(name, tuple(elements), table)
+            elements = tuple(str(i) for i in range(len(rows)))
+        return FiniteGroup(name, tuple(elements), rows)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     @cached_property
-    def np_table(self) -> np.ndarray:
-        arr = np.array(self.table, dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
-
-    @cached_property
     def zero(self) -> int:
         """Index of the identity element."""
-        n = self.order
-        for e in range(n):
-            if all(self.table[e][x] == x and self.table[x][e] == x
-                   for x in range(n)):
-                return e
+        t, full = self.table, np.arange(self.order)
+        for e in np.flatnonzero(t[:, 0] == 0):  # e + 0 = 0
+            if (t[e] == full).all() and (t[:, e] == full).all():
+                return int(e)
         raise GgxError(f"group {self.name!r} has no identity element")
 
     @cached_property
-    def neg_table(self) -> tuple[int, ...]:
-        """Inverse of each element, computed once and cached."""
-        e = self.zero
-        out = []
-        for i in range(self.order):
-            row = self.table[i]
-            try:
-                out.append(row.index(e))
-            except ValueError:
-                raise GgxError(f"group {self.name!r}: {i} has no inverse")
-        return tuple(out)
-
-    @cached_property
-    def np_neg(self) -> np.ndarray:
-        arr = np.array(self.neg_table, dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
+    def inverse(self) -> np.ndarray:
+        """The inverse of every element (its first right inverse), as a
+        read-only array computed once."""
+        hits = self.table == self.zero
+        require(hits.any(axis=1), f"group {self.name!r}: no inverse",
+                range(self.order))
+        return index_array(hits.argmax(axis=1))
 
     def add(self, i: int, j: int) -> int:
-        return self.table[i][j]
+        return self.table[i, j]
 
     def neg(self, i: int) -> int:
-        return self.neg_table[i]
+        return self.inverse[i]
 
     def sub(self, i: int, j: int) -> int:
-        return self.table[i][self.neg_table[j]]
+        return self.table[i, self.inverse[j]]
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.np_table, self.np_table.T))
+        return bool(np.array_equal(self.table, self.table.T))
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -132,27 +174,26 @@ class FiniteGroup:
 def validate_group(g: FiniteGroup) -> ValidationReport:
     """Check the group axioms exhaustively.
 
-    Malformed data (non-square table, out-of-range index, duplicate names)
-    is reported with the ``malformed`` tag, distinct from axiom failures.
-    Axiom scan order: Latin square, identity, associativity, inverses.
+    Malformed data (a table of the wrong shape, out-of-range index,
+    duplicate names) is reported with the ``malformed`` tag, distinct from
+    axiom failures.  Axiom scan order: Latin square, identity,
+    associativity, inverses.
     """
     n = len(g.elements)
     if n == 0:
         return fail("malformed", (), "empty element list")
     if len(set(g.elements)) != n:
         return fail("malformed", (), "element names are not distinct")
-    if len(g.table) != n:
-        return fail("malformed", (n, len(g.table)),
-                    f"table has {len(g.table)} rows for {n} elements")
-    for i, row in enumerate(g.table):
-        if len(row) != n:
-            return fail("malformed", (i,), f"row {i} has length {len(row)}")
-        for j, v in enumerate(row):
-            if not (0 <= v < n):
-                return fail("malformed", (i, j),
-                            f"table[{i}][{j}] = {v} out of range")
+    tbl = g.table
+    if tbl.shape != (n, n):
+        return fail("malformed", tbl.shape,
+                    f"table has shape {tbl.shape} for {n} elements")
+    if not (rep := first_violation(
+            lambda i, j: fail("malformed", (i, j),
+                              f"table[{i}][{j}] = {tbl[i, j]} out of range"),
+            (tbl < 0) | (tbl >= n))).ok:
+        return rep
 
-    tbl = g.np_table
     full = np.arange(n)
     def not_latin(i, col):
         if col:
@@ -197,32 +238,23 @@ def validate_group(g: FiniteGroup) -> ValidationReport:
 # Homomorphisms
 
 
-@dataclass(frozen=True)
-class GroupHom:
+@dataclass(frozen=True, eq=False)
+class GroupHom(IndexArrays):
     """A map of element indices satisfying ``f(a + a') = f(a) + f(a')``."""
 
     domain: FiniteGroup
     codomain: FiniteGroup
-    map: tuple[int, ...]
+    map: np.ndarray
 
-    @staticmethod
-    def from_callable(domain, codomain, fn) -> "GroupHom":
-        return GroupHom(domain, codomain,
-                        tuple(int(fn(i)) for i in range(domain.order)))
+    ARRAYS = ("map",)
 
     @staticmethod
     def identity(g: FiniteGroup) -> "GroupHom":
-        return GroupHom(g, g, tuple(range(g.order)))
+        return GroupHom(g, g, np.arange(g.order))
 
     @staticmethod
     def zero(domain: FiniteGroup, codomain: FiniteGroup) -> "GroupHom":
-        return GroupHom(domain, codomain, (codomain.zero,) * domain.order)
-
-    @cached_property
-    def np_map(self) -> np.ndarray:
-        arr = np.array(self.map, dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
+        return GroupHom(domain, codomain, np.full(domain.order, codomain.zero))
 
     def __call__(self, i: int) -> int:
         return self.map[i]
@@ -239,15 +271,17 @@ def validate_hom(f: GroupHom) -> ValidationReport:
         if not rep.ok:
             return nested(where, rep)
     n, m = f.domain.order, f.codomain.order
-    if len(f.map) != n:
-        return fail("malformed", (), f"map has length {len(f.map)}, domain order {n}")
-    if any(not (0 <= v < m) for v in f.map):
-        i = next(i for i, v in enumerate(f.map) if not (0 <= v < m))
-        return fail("malformed", (i,), f"map[{i}] out of range")
-    fm = f.np_map
+    fm = f.map
+    if fm.shape != (n,):
+        return fail("malformed", (),
+                    f"map has shape {fm.shape}, domain order {n}")
+    if not (rep := first_violation(
+            lambda i: fail("malformed", (i,), f"map[{i}] out of range"),
+            (fm < 0) | (fm >= m))).ok:
+        return rep
     return first_violation(
         lambda a, b: fail("hom-law", (a, b), f"f({a}+{b}) != f({a})+f({b})"),
-        fm[f.domain.np_table], f.codomain.np_table[fm[:, None], fm[None, :]])
+        fm[f.domain.table], f.codomain.table[fm[:, None], fm[None, :]])
 
 
 def is_hom(f: GroupHom) -> bool:
@@ -259,7 +293,7 @@ def compose(f: GroupHom, g: GroupHom) -> GroupHom:
     if f.codomain != g.domain:
         raise DomainMismatchError(
             f"cannot compose {f!r} with {g!r}: codomain/domain differ")
-    return GroupHom(f.domain, g.codomain, tuple(g.map[v] for v in f.map))
+    return GroupHom(f.domain, g.codomain, g.map[f.map])
 
 
 def subgroup(g: FiniteGroup, indices, name: str | None = None):
@@ -267,42 +301,48 @@ def subgroup(g: FiniteGroup, indices, name: str | None = None):
 
     Raises if the subset is not closed under the operation.
     """
-    idxs = sorted(set(int(i) for i in indices))
-    pos = {v: k for k, v in enumerate(idxs)}
-    rows = []
-    for i in idxs:
-        row = []
-        for j in idxs:
-            v = g.table[i][j]
-            if v not in pos:
-                raise GgxError(
-                    f"subset of {g.name!r} not closed: {i}+{j}={v} escapes")
-            row.append(pos[v])
-        rows.append(row)
+    inside = members(g.order, indices)
+    idxs = np.flatnonzero(inside)
+    sums = g.table[idxs[:, None], idxs]
+    require(inside[sums], f"subset of {g.name!r} not closed under +",
+            idxs, idxs)
     sub = FiniteGroup(name or f"sub[{g.name}]",
-                      tuple(g.elements[i] for i in idxs), freeze_table(rows))
-    incl = GroupHom(sub, g, tuple(idxs))
-    return sub, incl
+                      tuple(g.elements[i] for i in idxs),
+                      np.searchsorted(idxs, sums))
+    return sub, GroupHom(sub, g, idxs)
+
+
+def read_back(values, incl: GroupHom, message: str) -> np.ndarray:
+    """``values``, elements of the codomain of the injective ``incl``, as
+    the elements of its domain they come from.
+
+    Raises ``GgxError(message)`` if a value lies outside the image.
+    """
+    pos = np.full(incl.codomain.order, -1, dtype=np.intp)
+    pos[incl.map] = np.arange(incl.domain.order)
+    out = pos[values]
+    if (out < 0).any():
+        raise GgxError(message)
+    return out
 
 
 def kernel(f: GroupHom):
     """Kernel subgroup of ``f`` with its inclusion."""
-    z = f.codomain.zero
-    idxs = [i for i, v in enumerate(f.map) if v == z]
-    return subgroup(f.domain, idxs, name=f"ker[{f.domain.name}]")
+    return subgroup(f.domain, np.flatnonzero(f.map == f.codomain.zero),
+                    name=f"ker[{f.domain.name}]")
 
 
 def image(f: GroupHom):
     """Image subgroup of ``f`` with its inclusion."""
-    return subgroup(f.codomain, sorted(set(f.map)), name=f"im[{f.codomain.name}]")
+    return subgroup(f.codomain, f.map, name=f"im[{f.codomain.name}]")
 
 
 def is_injective(f: GroupHom) -> bool:
-    return len(set(f.map)) == f.domain.order
+    return np.count_nonzero(np.bincount(f.map)) == f.domain.order
 
 
 def is_surjective(f: GroupHom) -> bool:
-    return len(set(f.map)) == f.codomain.order
+    return np.count_nonzero(np.bincount(f.map)) == f.codomain.order
 
 
 def is_isomorphism(f: GroupHom) -> bool:
@@ -311,22 +351,18 @@ def is_isomorphism(f: GroupHom) -> bool:
 
 def hom_restrict(f: GroupHom, dom_incl: GroupHom, cod_incl: GroupHom) -> GroupHom:
     """Restrict ``f`` along subgroup inclusions on both sides."""
-    pos = {v: k for k, v in enumerate(cod_incl.map)}
-    out = []
-    for i in range(dom_incl.domain.order):
-        v = f.map[dom_incl.map[i]]
-        if v not in pos:
-            raise GgxError("restriction does not land in the codomain subgroup")
-        out.append(pos[v])
-    return GroupHom(dom_incl.domain, cod_incl.domain, tuple(out))
+    return GroupHom(dom_incl.domain, cod_incl.domain,
+                    read_back(f.map[dom_incl.map], cod_incl,
+                              "restriction does not land in the codomain "
+                              "subgroup"))
 
 
 # ---------------------------------------------------------------------------
 # Actions
 
 
-@dataclass(frozen=True)
-class GroupAction:
+@dataclass(frozen=True, eq=False)
+class GroupAction(IndexArrays):
     """A left action of ``actor`` on ``target`` by automorphisms.
 
     ``perms[b]`` is the permutation ``a -> b . a`` of the target's indices.
@@ -334,21 +370,17 @@ class GroupAction:
 
     actor: FiniteGroup
     target: FiniteGroup
-    perms: Table
+    perms: np.ndarray
+
+    ARRAYS = ("perms",)
 
     @staticmethod
     def trivial(actor: FiniteGroup, target: FiniteGroup) -> "GroupAction":
-        row = tuple(range(target.order))
-        return GroupAction(actor, target, (row,) * actor.order)
-
-    @cached_property
-    def np_perms(self) -> np.ndarray:
-        arr = np.array(self.perms, dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
+        return GroupAction(actor, target, np.broadcast_to(
+            np.arange(target.order), (actor.order, target.order)))
 
     def act(self, b: int, a: int) -> int:
-        return self.perms[b][a]
+        return self.perms[b, a]
 
     def __repr__(self) -> str:
         return f"GroupAction({self.actor.name} on {self.target.name})"
@@ -363,11 +395,11 @@ def validate_action(act: GroupAction) -> ValidationReport:
         if not rep.ok:
             return nested(where, rep)
     nb, na = act.actor.order, act.target.order
-    if len(act.perms) != nb or any(len(r) != na for r in act.perms):
+    P = act.perms
+    if P.shape != (nb, na):
         return fail("malformed", (), "permutation table has wrong shape")
-    if any(not (0 <= v < na) for r in act.perms for v in r):
+    if ((P < 0) | (P >= na)).any():
         return fail("malformed", (), "permutation entry out of range")
-    P = act.np_perms
     full = np.arange(na)
     if not (rep := first_violation(
             lambda b: fail("act-perm", (b,), f"row {b} is not a permutation"),
@@ -381,10 +413,10 @@ def validate_action(act: GroupAction) -> ValidationReport:
     if not (rep := first_violation(
             lambda b, b1, a: fail("act-compat", (b, b1, a),
                                   f"({b}+{b1}).{a} != {b}.({b1}.{a})"),
-            P[act.actor.np_table],           # (b,b',a) -> (b+b').a
+            P[act.actor.table],              # (b,b',a) -> (b+b').a
             P[:, P])).ok:                    # (b,b',a) -> b.(b'.a)
         return rep
-    TA = act.target.np_table
+    TA = act.target.table
     return first_violation(
         lambda b, a, a1: fail("act-auto", (b, a, a1),
                               f"{b}.({a}+{a1}) != {b}.{a}+{b}.{a1}"),
@@ -399,15 +431,17 @@ def conjugation_through(v: GroupHom, incl: GroupHom) -> GroupAction:
 
     Raises if a conjugate leaves the image of ``i``.
     """
-    tbl, neg = v.codomain.np_table, v.codomain.np_neg
-    vm, im = v.np_map, incl.np_map
-    conj = tbl[tbl[vm[:, None], im[None, :]], neg[vm][:, None]]
-    index = np.full(v.codomain.order, -1, dtype=np.int64)
-    index[im] = np.arange(len(im))
-    rows = index[conj]
-    if (rows < 0).any():
-        raise GgxError("a conjugate of a subgroup element left the subgroup")
-    return GroupAction(v.domain, incl.domain, freeze_table(rows.tolist()))
+    tbl, vm = v.codomain.table, v.map
+    conj = tbl[tbl[vm[:, None], incl.map[None, :]],
+               v.codomain.inverse[vm][:, None]]
+    return GroupAction(v.domain, incl.domain, read_back(
+        conj, incl, "a conjugate of a subgroup element left the subgroup"))
+
+
+def conjugates(g: FiniteGroup, idx) -> np.ndarray:
+    """``x + i - x`` for every element ``x`` (rows) and every ``i`` in the
+    index array ``idx`` (columns)."""
+    return g.table[g.table[:, idx], g.inverse[:, None]]
 
 
 def conjugation_action(g: FiniteGroup) -> GroupAction:
@@ -420,13 +454,16 @@ def conjugation_action(g: FiniteGroup) -> GroupAction:
 # Semidirect products and split extensions
 
 
-def sd_index(nb: int, i: int, j: int) -> int:
-    """Index of the pair ``(i, j)`` in a product with second factor order nb."""
+def sd_index(nb: int, i, j):
+    """Index of the pair ``(i, j)`` in a product with second factor order
+    nb; ``i`` and ``j`` may be broadcastable index arrays."""
     return i * nb + j
 
 
-def sd_split(nb: int, k: int) -> tuple[int, int]:
-    return divmod(k, nb)
+def pair_map(f, g, nb: int) -> np.ndarray:
+    """The map ``(x, y) -> (f[x], g[y])`` of pair indices, for index maps
+    ``f`` and ``g`` into products whose second factor has order ``nb``."""
+    return sd_index(nb, f[:, None], g[None, :]).ravel()
 
 
 def semidirect_product(a: FiniteGroup, b: FiniteGroup, act: GroupAction,
@@ -436,23 +473,29 @@ def semidirect_product(a: FiniteGroup, b: FiniteGroup, act: GroupAction,
     ``act`` must be an action of ``b`` on ``a``; the pair ``(x, y)`` has
     index ``x * |b| + y`` and name ``"(x,y)"``.
     """
-    na, nb = a.order, b.order
-    n = na * nb
-    I = np.arange(n)
+    nb = b.order
+    I = np.arange(a.order * nb)
     ai, bi = I // nb, I % nb
-    P, TA, TB = act.np_perms, a.np_table, b.np_table
-    apart = TA[ai[:, None], P[bi[:, None], ai[None, :]]]
-    bpart = TB[bi[:, None], bi[None, :]]
-    table = apart * nb + bpart
-    names = tuple(f"({a.elements[i]},{b.elements[j]})"
-                  for i in range(na) for j in range(nb))
+    apart = a.table[ai[:, None], act.perms[bi[:, None], ai[None, :]]]
+    bpart = b.table[bi[:, None], bi[None, :]]
+    names = tuple(f"({x},{y})" for x in a.elements for y in b.elements)
     return FiniteGroup(name or f"({a.name})x({b.name})", names,
-                       freeze_table(table.tolist()))
+                       sd_index(nb, apart, bpart))
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup,
                    name: str | None = None) -> FiniteGroup:
     return semidirect_product(a, b, GroupAction.trivial(b, a), name=name)
+
+
+def split_maps(a: FiniteGroup, b: FiniteGroup, k: FiniteGroup):
+    """The inclusion ``x -> (x, 0)``, projection ``(x, y) -> y`` and
+    section ``y -> (0, y)`` of a semidirect product ``k`` of ``a`` by
+    ``b``."""
+    nb = b.order
+    return (GroupHom(a, k, sd_index(nb, np.arange(a.order), b.zero)),
+            GroupHom(k, b, np.arange(k.order) % nb),
+            GroupHom(b, k, sd_index(nb, a.zero, np.arange(nb))))
 
 
 @dataclass(frozen=True)
@@ -480,7 +523,7 @@ def validate_split_extension(ext: SplitExtension) -> ValidationReport:
         if not rep.ok:
             return nested(where, rep)
     nk, nq = ext.total_group.order, ext.quotient_group.order
-    im, pm = ext.inclusion.np_map, ext.projection.np_map
+    im, pm = ext.inclusion.map, ext.projection.map
     if not (rep := first_violation(
             lambda v: fail("injective", (v,), "inclusion is not injective"),
             np.bincount(im, minlength=nk) > 1)).ok:
@@ -498,7 +541,7 @@ def validate_split_extension(ext: SplitExtension) -> ValidationReport:
         return rep
     return first_violation(
         lambda h: fail("section", (h,), f"p(s({h})) != {h}"),
-        pm[ext.section.np_map], np.arange(nq))
+        pm[ext.section.map], np.arange(nq))
 
 
 def derived_action(ext: SplitExtension) -> GroupAction:
@@ -511,11 +554,7 @@ def split_extension_from_action(a: FiniteGroup, b: FiniteGroup,
     """The canonical split extension of ``b`` by ``a`` with total group
     the semidirect product: ``i(x) = (x,0)``, ``p(x,y) = y``, ``s(y) = (0,y)``."""
     k = semidirect_product(a, b, act)
-    nb = b.order
-    incl = GroupHom(a, k, tuple(sd_index(nb, x, b.zero) for x in range(a.order)))
-    proj = GroupHom(k, b, tuple(i % nb for i in range(k.order)))
-    sect = GroupHom(b, k, tuple(sd_index(nb, a.zero, y) for y in range(nb)))
-    return SplitExtension(a, k, b, incl, proj, sect)
+    return SplitExtension(a, k, b, *split_maps(a, b, k))
 
 
 def conjugation_extension(g: FiniteGroup) -> SplitExtension:
@@ -528,34 +567,24 @@ def conjugation_extension(g: FiniteGroup) -> SplitExtension:
 
 
 def generating_sequence(g: FiniteGroup) -> list[int]:
-    """A greedy generating set: scan indices, keep whatever enlarges the span."""
+    """A greedy generating set: scan indices, keep whatever enlarges the
+    span (the subgroup generated so far)."""
     gens: list[int] = []
-    known = {g.zero}
+    span = np.zeros(g.order, dtype=bool)
+    span[g.zero] = True
     for x in range(g.order):
-        if x in known:
+        if span[x]:
             continue
         gens.append(x)
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in list(known) + [x]:
-                    for w in (g.add(u, v), g.add(v, u)):
-                        if w not in known:
-                            known.add(w)
-                            nxt.append(w)
-            frontier = nxt
-        # re-close fully under addition
-        changed = True
-        while changed:
-            changed = False
-            for u in list(known):
-                for v in list(known):
-                    w = g.add(u, v)
-                    if w not in known:
-                        known.add(w)
-                        changed = True
-        if len(known) == g.order:
+        span[x] = True
+        while True:
+            idx = np.flatnonzero(span)
+            grown = span.copy()
+            grown[g.table[np.ix_(idx, idx)]] = True
+            if (grown == span).all():
+                break
+            span = grown
+        if span.all():
             break
     return gens
 
@@ -571,7 +600,7 @@ def generating_words(g: FiniteGroup, gens: list[int]) -> list[tuple[int, int]]:
         nxt = []
         for e in frontier:
             for pos, gen in enumerate(gens):
-                e2 = g.add(e, gen)
+                e2 = int(g.add(e, gen))
                 if e2 not in expr:
                     expr[e2] = (e, pos)
                     order.append(e2)
@@ -613,14 +642,13 @@ def iso_search(a: FiniteGroup, b: FiniteGroup,
     ]
     for images in product(*candidates):
         m = [0] * a.order
-        ok = True
         for e, (prev, pos) in words:
             if prev == -1:
                 m[e] = b.zero
             else:
                 m[e] = b.add(m[prev], images[pos])
-        f = GroupHom(a, b, tuple(m))
-        if len(set(m)) == a.order and is_hom(f):
+        f = GroupHom(a, b, m)
+        if is_injective(f) and is_hom(f):
             return f
     return None
 
@@ -630,26 +658,24 @@ def iso_search(a: FiniteGroup, b: FiniteGroup,
 
 
 def trivial_group(name: str = "1") -> FiniteGroup:
-    return FiniteGroup(name, ("0",), ((0,),))
+    return FiniteGroup(name, ("0",), [[0]])
 
 
 def cyclic(n: int, name: str | None = None) -> FiniteGroup:
-    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return FiniteGroup(name or f"z{n}", tuple(str(i) for i in range(n)),
-                       freeze_table(rows))
+    i = np.arange(n)
+    return FiniteGroup(name or f"z{n}", tuple(str(x) for x in range(n)),
+                       (i[:, None] + i) % n)
 
 
 def klein_four() -> FiniteGroup:
-    rows = [[i ^ j for j in range(4)] for i in range(4)]
-    return FiniteGroup("v4", ("0", "a", "b", "c"), freeze_table(rows))
+    i = np.arange(4)
+    return FiniteGroup("v4", ("0", "a", "b", "c"), i[:, None] ^ i)
 
 
 def negation_action(b: FiniteGroup, a: FiniteGroup) -> GroupAction:
     """Action of an order-2 element group by negation on an abelian group."""
-    ident = tuple(range(a.order))
-    negs = tuple(a.neg(i) for i in range(a.order))
-    rows = tuple(ident if x == b.zero else negs for x in range(b.order))
-    return GroupAction(b, a, rows)
+    fixed = (np.arange(b.order) == b.zero)[:, None]
+    return GroupAction(b, a, np.where(fixed, np.arange(a.order), a.inverse))
 
 
 def symmetric_3() -> FiniteGroup:
@@ -687,4 +713,4 @@ def quaternion_8() -> FiniteGroup:
             s, u = unit_mult[(ux, uy)]
             row.append(fuse(sx * sy * s, u))
         rows.append(row)
-    return FiniteGroup("q8", names, freeze_table(rows))
+    return FiniteGroup("q8", names, rows)

@@ -123,8 +123,10 @@ def once_per_value(validator: Callable[..., ValidationReport]
     """Run ``validator`` at most once per instance of an immutable value.
 
     The report is kept in the instance's ``__dict__``, the way
-    ``functools.cached_property`` keeps a derived table, so it lives and
-    dies with the value and never joins the value's equality or hash.
+    ``functools.cached_property`` keeps a derived array such as
+    :attr:`~ggx.groups.FiniteGroup.inverse`, so it lives and dies with the
+    value.  Equality and hashing read only the dataclass fields, so the
+    report never joins them.
     """
     key = f"_{validator.__name__}_report"
 

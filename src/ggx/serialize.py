@@ -41,71 +41,71 @@ def to_document(obj) -> dict:
     if isinstance(obj, FiniteGroup):
         return {"kind": "group", "format_version": FORMAT_VERSION,
                 "name": obj.name, "elements": list(obj.elements),
-                "table": [list(r) for r in obj.table]}
+                "table": obj.table.tolist()}
     if isinstance(obj, GroupHom):
         return {"kind": "hom", "format_version": FORMAT_VERSION,
                 "domain": to_document(obj.domain),
                 "codomain": to_document(obj.codomain),
-                "map": list(obj.map)}
+                "map": obj.map.tolist()}
     if isinstance(obj, GroupAction):
         return {"kind": "action", "format_version": FORMAT_VERSION,
                 "actor": to_document(obj.actor),
                 "target": to_document(obj.target),
-                "perms": [list(r) for r in obj.perms]}
+                "perms": obj.perms.tolist()}
     if isinstance(obj, XModGroups):
         return {"kind": "xmod-groups", "format_version": FORMAT_VERSION,
                 "a": to_document(obj.a), "b": to_document(obj.b),
-                "boundary": list(obj.boundary.map),
-                "action": [list(r) for r in obj.action.perms]}
+                "boundary": obj.boundary.map.tolist(),
+                "action": obj.action.perms.tolist()}
     if isinstance(obj, GroupGroupoid):
         return {"kind": "group-groupoid", "format_version": FORMAT_VERSION,
                 "arrows": to_document(obj.arrows),
                 "objects": to_document(obj.objects),
-                "d0": list(obj.d0.map), "d1": list(obj.d1.map),
-                "eps": list(obj.eps.map)}
+                "d0": obj.d0.map.tolist(), "d1": obj.d1.map.tolist(),
+                "eps": obj.eps.map.tolist()}
     if isinstance(obj, XModGG):
         return {"kind": "xmod-gg", "format_version": FORMAT_VERSION,
                 "g": to_document(obj.g), "h": to_document(obj.h),
-                "boundary_arrows": list(obj.boundary_arrows.map),
-                "boundary_objects": list(obj.boundary_objects.map),
-                "action": [list(r) for r in obj.action.perms]}
+                "boundary_arrows": obj.boundary_arrows.map.tolist(),
+                "boundary_objects": obj.boundary_objects.map.tolist(),
+                "action": obj.action.perms.tolist()}
     if isinstance(obj, DoubleGroupGroupoid):
         doc = {"kind": "dgg", "format_version": FORMAT_VERSION,
                "squares": to_document(obj.s), "hedges": to_document(obj.h),
                "vedges": to_document(obj.v), "points": to_document(obj.p)}
         for field in ("d0h", "d1h", "epsh", "d0v", "d1v", "epsv",
                       "d0H", "d1H", "epsH", "d0V", "d1V", "epsV"):
-            doc[field] = list(getattr(obj, field).map)
+            doc[field] = getattr(obj, field).map.tolist()
         return doc
     if isinstance(obj, CrossedSquare):
         return {"kind": "xsq", "format_version": FORMAT_VERSION,
                 "l": to_document(obj.l), "m": to_document(obj.m),
                 "n": to_document(obj.n), "p": to_document(obj.p),
-                "lam": list(obj.lam.map),
-                "lam_prime": list(obj.lam_prime.map),
-                "mu": list(obj.mu.map), "nu": list(obj.nu.map),
-                "act_p_on_l": [list(r) for r in obj.act_p_on_l.perms],
-                "act_p_on_m": [list(r) for r in obj.act_p_on_m.perms],
-                "act_p_on_n": [list(r) for r in obj.act_p_on_n.perms],
-                "h": [list(r) for r in obj.hmap]}
+                "lam": obj.lam.map.tolist(),
+                "lam_prime": obj.lam_prime.map.tolist(),
+                "mu": obj.mu.map.tolist(), "nu": obj.nu.map.tolist(),
+                "act_p_on_l": obj.act_p_on_l.perms.tolist(),
+                "act_p_on_m": obj.act_p_on_m.perms.tolist(),
+                "act_p_on_n": obj.act_p_on_n.perms.tolist(),
+                "h": obj.hmap.tolist()}
     if isinstance(obj, SplitExtension):
         return {"kind": "split-extension", "format_version": FORMAT_VERSION,
                 "kernel": to_document(obj.kernel_group),
                 "total": to_document(obj.total_group),
                 "quotient": to_document(obj.quotient_group),
-                "inclusion": list(obj.inclusion.map),
-                "projection": list(obj.projection.map),
-                "section": list(obj.section.map)}
+                "inclusion": obj.inclusion.map.tolist(),
+                "projection": obj.projection.map.tolist(),
+                "section": obj.section.map.tolist()}
     if isinstance(obj, SplitExtensionGG):
         return {"kind": "split-extension-gg", "format_version": FORMAT_VERSION,
                 "g": to_document(obj.g), "k": to_document(obj.k),
                 "h": to_document(obj.h),
-                "iota_arrows": list(obj.iota.on_arrows.map),
-                "iota_objects": list(obj.iota.on_objects.map),
-                "p_arrows": list(obj.p.on_arrows.map),
-                "p_objects": list(obj.p.on_objects.map),
-                "s_arrows": list(obj.s.on_arrows.map),
-                "s_objects": list(obj.s.on_objects.map)}
+                "iota_arrows": obj.iota.on_arrows.map.tolist(),
+                "iota_objects": obj.iota.on_objects.map.tolist(),
+                "p_arrows": obj.p.on_arrows.map.tolist(),
+                "p_objects": obj.p.on_objects.map.tolist(),
+                "s_arrows": obj.s.on_arrows.map.tolist(),
+                "s_objects": obj.s.on_objects.map.tolist()}
     raise ParseError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -128,30 +128,28 @@ def _need(payload: dict, key: str, path: str):
     return payload[key]
 
 
-def _int_list(value, path: str, length: int, upper: int) -> tuple[int, ...]:
+def _int_list(value, path: str, length: int, upper: int) -> list[int]:
     if not isinstance(value, list):
         raise ParseError("expected a list of integers", path)
     if len(value) != length:
         raise ParseError(f"expected length {length}, got {len(value)}", path)
-    out = []
     for i, v in enumerate(value):
         if not isinstance(v, int) or isinstance(v, bool):
             raise ParseError("expected an integer", f"{path}[{i}]")
         if not (0 <= v < upper):
             raise ParseError(f"index {v} out of range (order {upper})",
                              f"{path}[{i}]")
-        out.append(v)
-    return tuple(out)
+    return value
 
 
 def _int_table(value, path: str, rows: int, cols: int,
-               upper: int) -> tuple[tuple[int, ...], ...]:
+               upper: int) -> list[list[int]]:
     if not isinstance(value, list):
         raise ParseError("expected a list of rows", path)
     if len(value) != rows:
         raise ParseError(f"expected {rows} rows, got {len(value)}", path)
-    return tuple(_int_list(r, f"{path}[{i}]", cols, upper)
-                 for i, r in enumerate(value))
+    return [_int_list(r, f"{path}[{i}]", cols, upper)
+            for i, r in enumerate(value)]
 
 
 class _Loader:

@@ -26,19 +26,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (FiniteGroup, GroupAction, GroupHom, compose,
-                     conjugation_action, conjugation_through, hom_restrict,
-                     sd_index, subgroup, validate_action, validate_group,
-                     validate_hom)
-from .groupoids import (GGMorphism, GroupGroupoid, _composable_pairs,
-                        discrete_gg, gg_morphism_compose, inverse_map,
-                        object_action, pair_gg, trivial_gg,
-                        validate_gg_morphism, validate_group_groupoid)
+from .groups import (SCAN_CHUNK, FiniteGroup, GroupAction, GroupHom,
+                     compose, conjugates, conjugation_action,
+                     conjugation_through, hom_restrict, members, pair_map,
+                     require, sd_index, subgroup, validate_action,
+                     validate_group, validate_hom)
+from .groupoids import (GGMorphism, GroupGroupoid, discrete_gg,
+                        gg_morphism_compose, inverse_map, object_action,
+                        pair_gg, trivial_gg, validate_gg_morphism,
+                        validate_group_groupoid)
 from .report import (VALID, GgxError, ValidationReport, fail,
                      first_violation, nested)
-
-# composable pairs of H per block of the action interchange scan
-ACTION_INTERCHANGE_CHUNK = 512
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +72,10 @@ def validate_xmod_groups(xm: XModGroups) -> ValidationReport:
     if not rep.ok:
         return nested("action", rep)
 
-    P = xm.action.np_perms
-    bd = xm.boundary.np_map
-    TB, negB = xm.b.np_table, xm.b.np_neg
-    TA, negA = xm.a.np_table, xm.a.np_neg
+    P = xm.action.perms
+    bd = xm.boundary.map
+    TB, negB = xm.b.table, xm.b.inverse
+    TA, negA = xm.a.table, xm.a.inverse
     nb, na = xm.b.order, xm.a.order
 
     b_col = np.arange(nb)[:, None]
@@ -119,15 +117,15 @@ def validate_xmod_groups_morphism(m: XModGroupsMorphism) -> ValidationReport:
         rep = validate_hom(f)
         if not rep.ok:
             return nested(where, rep)
-    f1, f2 = m.f1.np_map, m.f2.np_map
+    f1, f2 = m.f1.map, m.f2.map
     if not (rep := first_violation(
             lambda a: fail("square-boundary", (a,), "f2 o bdry != bdry' o f1"),
-            f2[m.domain.boundary.np_map], m.codomain.boundary.np_map[f1])).ok:
+            f2[m.domain.boundary.map], m.codomain.boundary.map[f1])).ok:
         return rep
     return first_violation(
         lambda b, a: fail("equivariance", (b, a), "f1(b.a) != f2(b).f1(a)"),
-        f1[m.domain.action.np_perms],
-        m.codomain.action.np_perms[f2[:, None], f1[None, :]])
+        f1[m.domain.action.perms],
+        m.codomain.action.perms[f2[:, None], f1[None, :]])
 
 
 def xmod_groups_morphism_compose(m1, m2) -> XModGroupsMorphism:
@@ -201,18 +199,18 @@ def validate_action_compatibility(G: GroupGroupoid, H: GroupGroupoid,
     if not rep.ok:
         return nested("object-action", rep)
 
-    act = action.np_perms
-    oact = obj_act.np_perms
+    act = action.perms
+    oact = obj_act.perms
     # (k, b, a): all of act-d0 before act-d1
-    dG = np.array([G.d0.np_map, G.d1.np_map])
-    dH = np.array([H.d0.np_map, H.d1.np_map])
+    dG = np.array([G.d0.map, G.d1.map])
+    dH = np.array([H.d0.map, H.d1.map])
     if not (rep := first_violation(
             lambda k, b, a: fail(f"act-d{k}", (b, a),
                                  f"d{k}({b}.{a}) != d{k}({b}).d{k}({a})"),
             dG[:, act], oact[dH[:, :, None], dG[:, None, :]])).ok:
         return rep
 
-    eg, eh = G.eps.np_map, H.eps.np_map
+    eg, eh = G.eps.map, H.eps.map
     if not (rep := first_violation(
             lambda y, x: fail("act-eps", (y, x),
                               "identity arrows are not sent to identity "
@@ -233,27 +231,22 @@ def _action_interchange(G: GroupGroupoid, H: GroupGroupoid,
                         act: np.ndarray) -> ValidationReport:
     """The action/composition interchange, with witness ``(b, b1, a, a1)``.
 
-    Quantified over pairs where both sides are defined; compatibility of
-    sources and targets (checked beforehand) makes the two sides defined
-    simultaneously.
+    Quantified over pairs where both sides are defined.  The right-hand
+    side is always defined once ``act-d0`` and ``act-d1`` hold:
+    ``d1(b.a) = d1(b).d1(a) = d0(b1).d0(a1) = d0(b1.a1)``.
     """
-    AH, BH, compH, _ = _composable_pairs(H)
-    AG, BG, compG, compG_full = _composable_pairs(G)
-    for i0 in range(0, len(AH), ACTION_INTERCHANGE_CHUNK):
-        sl = slice(i0, min(i0 + ACTION_INTERCHANGE_CHUNK, len(AH)))
-
-        def report(i, j):
-            return fail("act-interchange",
-                        (int(BH[i0 + i]), int(AH[i0 + i]), int(BG[j]),
-                         int(AG[j])),
-                        "(b o b1).(a o a1) != (b.a) o (b1.a1)")
-
-        rhs = compG_full[act[AH[sl][:, None], AG[None, :]],
-                         act[BH[sl][:, None], BG[None, :]]]
-        if not (rep := first_violation(report, rhs < 0)).ok:
-            return rep
+    AH, BH, compH, _ = H.composable_pairs
+    AG, BG, compG, compG_full = G.composable_pairs
+    for i0 in range(0, len(AH), SCAN_CHUNK):
+        sl = slice(i0, i0 + SCAN_CHUNK)
         if not (rep := first_violation(
-                report, act[compH[sl][:, None], compG[None, :]], rhs)).ok:
+                lambda i, j: fail("act-interchange",
+                                  (int(BH[i0 + i]), int(AH[i0 + i]),
+                                   int(BG[j]), int(AG[j])),
+                                  "(b o b1).(a o a1) != (b.a) o (b1.a1)"),
+                act[compH[sl][:, None], compG[None, :]],
+                compG_full[act[AH[sl][:, None], AG[None, :]],
+                           act[BH[sl][:, None], BG[None, :]]])).ok:
             return rep
     return VALID
 
@@ -266,15 +259,11 @@ def induced_actions(xm: XModGG) -> tuple[GroupAction, GroupAction, GroupAction]:
     * arrows of H on objects of G:   ``b . x = d1(b) . x``
     """
     obj_on_obj = object_action(xm.action, xm.g, xm.h)
-    rows = tuple(tuple(xm.action.act(xm.h.eps(y), a)
-                       for a in range(xm.g.arrows.order))
-                 for y in range(xm.h.objects.order))
-    obj_on_arrows = GroupAction(xm.h.objects, xm.g.arrows, rows)
-    rows = tuple(tuple(obj_on_obj.act(xm.h.d1(b), x)
-                       for x in range(xm.g.objects.order))
-                 for b in range(xm.h.arrows.order))
-    arrows_on_obj = GroupAction(xm.h.arrows, xm.g.objects, rows)
-    return obj_on_obj, obj_on_arrows, arrows_on_obj
+    return (obj_on_obj,
+            GroupAction(xm.h.objects, xm.g.arrows,
+                        xm.action.perms[xm.h.eps.map]),
+            GroupAction(xm.h.arrows, xm.g.objects,
+                        obj_on_obj.perms[xm.h.d1.map]))
 
 
 def object_level_xmod(xm: XModGG) -> XModGroups:
@@ -363,18 +352,12 @@ def pair_xmod(xm: XModGroups) -> XModGG:
     """A crossed module of groups promoted to the pair group-groupoids,
     with componentwise boundary and componentwise action."""
     gs, hs = pair_gg(xm.a), pair_gg(xm.b)
-    na, nb = xm.a.order, xm.b.order
-    bd = xm.boundary.map
-    b1 = GroupHom(gs.arrows, hs.arrows,
-                  tuple(sd_index(nb, bd[k // na], bd[k % na])
-                        for k in range(na * na)))
-    rows = []
-    for bk in range(nb * nb):
-        b, b2 = divmod(bk, nb)
-        rows.append(tuple(
-            sd_index(na, xm.action.act(b, k // na), xm.action.act(b2, k % na))
-            for k in range(na * na)))
-    act = GroupAction(hs.arrows, gs.arrows, tuple(rows))
+    na, bd, P = xm.a.order, xm.boundary.map, xm.action.perms
+    b1 = GroupHom(gs.arrows, hs.arrows, pair_map(bd, bd, xm.b.order))
+    # (b, b2) . (a, a2) = (b.a, b2.a2)
+    rows = sd_index(na, P[:, None, :, None], P[None, :, None, :])
+    act = GroupAction(hs.arrows, gs.arrows,
+                      rows.reshape(hs.arrows.order, gs.arrows.order))
     return XModGG(gs, hs, b1, xm.boundary, act)
 
 
@@ -387,23 +370,17 @@ def inclusion_xmod(gg: GroupGroupoid, arrow_indices,
     arrows, the object subset a normal subgroup of the objects, and both are
     closed under d0, d1 and eps.
     """
-    arr_idx = sorted(set(int(i) for i in arrow_indices))
-    obj_idx = sorted(set(int(i) for i in object_indices))
-    arr_set, obj_set = set(arr_idx), set(obj_idx)
-    for a in arr_idx:
-        if gg.d0(a) not in obj_set or gg.d1(a) not in obj_set:
-            raise GgxError(f"subgroupoid not closed under d0/d1 at arrow {a}")
-    for x in obj_idx:
-        if gg.eps(x) not in arr_set:
-            raise GgxError(f"subgroupoid not closed under eps at object {x}")
-    for g in range(gg.arrows.order):
-        for a in arr_idx:
-            if gg.arrows.add(gg.arrows.add(g, a), gg.arrows.neg(g)) not in arr_set:
-                raise GgxError(f"arrow subgroup not normal: witness ({g},{a})")
-    for g in range(gg.objects.order):
-        for x in obj_idx:
-            if gg.objects.add(gg.objects.add(g, x), gg.objects.neg(g)) not in obj_set:
-                raise GgxError(f"object subgroup not normal: witness ({g},{x})")
+    in_arr = members(gg.arrows.order, arrow_indices)
+    in_obj = members(gg.objects.order, object_indices)
+    arr_idx, obj_idx = np.flatnonzero(in_arr), np.flatnonzero(in_obj)
+    require(in_obj[gg.d0.map[arr_idx]] & in_obj[gg.d1.map[arr_idx]],
+            "subgroupoid not closed under d0/d1", arr_idx)
+    require(in_arr[gg.eps.map[obj_idx]],
+            "subgroupoid not closed under eps", obj_idx)
+    for grp, idx, inside, what in ((gg.arrows, arr_idx, in_arr, "arrow"),
+                                   (gg.objects, obj_idx, in_obj, "object")):
+        require(inside[conjugates(grp, idx)], f"{what} subgroup not normal",
+                range(grp.order), idx)
     sub_arr, inc_arr = subgroup(gg.arrows, arr_idx, name=f"n[{gg.arrows.name}]")
     sub_obj, inc_obj = subgroup(gg.objects, obj_idx, name=f"n[{gg.objects.name}]")
     sub_gg = GroupGroupoid(sub_arr, sub_obj,

@@ -34,17 +34,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import (FiniteGroup, GroupAction, GroupHom, Table, compose,
-                     conjugation_through, hom_restrict, is_injective,
-                     is_surjective, subgroup, validate_action,
-                     validate_group, validate_hom)
-from .report import (GgxError, ValidationReport, fail, first_violation,
-                     nested)
+from .groups import (FiniteGroup, GroupAction, GroupHom, IndexArrays, compose,
+                     conjugates, conjugation_through, hom_restrict,
+                     is_injective, is_surjective, members, read_back,
+                     require, subgroup, validate_action, validate_group,
+                     validate_hom)
+from .report import ValidationReport, fail, first_violation, nested
 from .xmod import XModGroups, validate_xmod_groups
 
 
-@dataclass(frozen=True)
-class CrossedSquare:
+@dataclass(frozen=True, eq=False)
+class CrossedSquare(IndexArrays):
     l: FiniteGroup
     m: FiniteGroup
     n: FiniteGroup
@@ -56,10 +56,12 @@ class CrossedSquare:
     act_p_on_l: GroupAction
     act_p_on_m: GroupAction
     act_p_on_n: GroupAction
-    hmap: Table
+    hmap: np.ndarray
+
+    ARRAYS = ("hmap",)
 
     def h(self, m: int, n: int) -> int:
-        return self.hmap[m][n]
+        return self.hmap[m, n]
 
     def __repr__(self) -> str:
         return (f"CrossedSquare(L={self.l.name}, M={self.m.name}, "
@@ -94,22 +96,22 @@ def validate_xsq(xs: CrossedSquare) -> ValidationReport:
         rep = validate_action(act)
         if not rep.ok:
             return nested(where, rep)
-    if (len(xs.hmap) != xs.m.order
-            or any(len(r) != xs.n.order for r in xs.hmap)
-            or any(not (0 <= v < xs.l.order) for r in xs.hmap for v in r)):
+    h = xs.hmap
+    if (h.shape != (xs.m.order, xs.n.order)
+            or ((h < 0) | (h >= xs.l.order)).any()):
         return fail("malformed", (), "pairing table has wrong shape or range")
 
-    lam, lamp = xs.lam.np_map, xs.lam_prime.np_map
-    mu, nu = xs.mu.np_map, xs.nu.np_map
+    lam, lamp = xs.lam.map, xs.lam_prime.map
+    mu, nu = xs.mu.map, xs.nu.map
     if not (rep := first_violation(
             lambda l: fail("square-commute", (l,), "nu.lam' != mu.lam"),
             nu[lamp], mu[lam])).ok:
         return rep
 
     L, M, N, P = xs.l, xs.m, xs.n, xs.p
-    PL = xs.act_p_on_l.np_perms
-    PM = xs.act_p_on_m.np_perms
-    PN = xs.act_p_on_n.np_perms
+    PL = xs.act_p_on_l.perms
+    PM = xs.act_p_on_m.perms
+    PN = xs.act_p_on_n.perms
     # CS1: equivariance of lam and lam', at (p, l, law)
     cs1_messages = ("lam is not P-equivariant", "lam' is not P-equivariant")
     if not (rep := first_violation(
@@ -127,9 +129,8 @@ def validate_xsq(xs: CrossedSquare) -> ValidationReport:
             return fail("CS1", rep.witness,
                         f"({which}) is not a crossed module: {rep.axiom}")
 
-    h = np.array(xs.hmap, dtype=np.int64).reshape(M.order, N.order)
-    TL, TM, TN = L.np_table, M.np_table, N.np_table
-    negL, negM, negN = L.np_neg, M.np_neg, N.np_neg
+    TL, TM, TN = L.table, M.table, N.table
+    negL, negM, negN = L.inverse, M.inverse, N.inverse
     ls, ms, ns = np.arange(L.order), np.arange(M.order), np.arange(N.order)
     # CS2, at (m, n, law)
     cs2_messages = ("lam h(m,n) != m + n.(-m)", "lam' h(m,n) != m.n - n")
@@ -210,26 +211,26 @@ def validate_xsq_morphism(m: XSqMorphism) -> ValidationReport:
         if not rep.ok:
             return nested(where, rep)
     a, b = m.domain, m.codomain
-    fl, fm, fn, fp = m.f_l.np_map, m.f_m.np_map, m.f_n.np_map, m.f_p.np_map
+    fl, fm, fn, fp = m.f_l.map, m.f_m.map, m.f_n.map, m.f_p.map
     # per l: lam, then lam'
     if not (rep := first_violation(
             lambda l, k: fail(("square-lam", "square-lam-prime")[k], (l,),
                               ("lam does not commute",
                                "lam' does not commute")[k]),
-            np.array([fm[a.lam.np_map], fn[a.lam_prime.np_map]]).T,
-            np.array([b.lam.np_map[fl], b.lam_prime.np_map[fl]]).T)).ok:
+            np.array([fm[a.lam.map], fn[a.lam_prime.map]]).T,
+            np.array([b.lam.map[fl], b.lam_prime.map[fl]]).T)).ok:
         return rep
     if not (rep := first_violation(
             lambda x: fail("square-mu", (x,), "mu does not commute"),
-            fp[a.mu.np_map], b.mu.np_map[fm])).ok:
+            fp[a.mu.map], b.mu.map[fm])).ok:
         return rep
     if not (rep := first_violation(
             lambda x: fail("square-nu", (x,), "nu does not commute"),
-            fp[a.nu.np_map], b.nu.np_map[fn])).ok:
+            fp[a.nu.map], b.nu.map[fn])).ok:
         return rep
     # per p: the action on L, then on M, then on N
     def moved(f, dom_act, cod_act):
-        return f[dom_act.np_perms] != cod_act.np_perms[fp[:, None], f[None, :]]
+        return f[dom_act.perms] != cod_act.perms[fp[:, None], f[None, :]]
 
     nl, nmm = a.l.order, a.m.order
 
@@ -245,12 +246,10 @@ def validate_xsq_morphism(m: XSqMorphism) -> ValidationReport:
              moved(fm, a.act_p_on_m, b.act_p_on_m),
              moved(fn, a.act_p_on_n, b.act_p_on_n)], axis=1))).ok:
         return rep
-    ha = np.array(a.hmap, dtype=np.int64).reshape(a.m.order, a.n.order)
-    hb = np.array(b.hmap, dtype=np.int64).reshape(b.m.order, b.n.order)
     return first_violation(
         lambda x, y: fail("pairing", (x, y),
                           "f_l(h(m,n)) != h(f_m(m), f_n(n))"),
-        fl[ha], hb[fm[:, None], fn[None, :]])
+        fl[a.hmap], b.hmap[fm[:, None], fn[None, :]])
 
 
 def xsq_morphism_compose(m1: XSqMorphism, m2: XSqMorphism) -> XSqMorphism:
@@ -287,45 +286,28 @@ def norrie_xsq(parent: XModGroups, s_indices, t_indices) -> CrossedSquare:
     in ``A``, the boundary maps ``S`` into ``T``, the ``B``-action keeps
     ``S`` stable, and every displacement ``t.a - a`` lands in ``S``.
     """
-    A, B = parent.a, parent.b
-    s_idx = sorted(set(int(i) for i in s_indices))
-    t_idx = sorted(set(int(i) for i in t_indices))
-    s_set, t_set = set(s_idx), set(t_idx)
-
-    for g in range(B.order):
-        for t in t_idx:
-            if B.add(B.add(g, t), B.neg(g)) not in t_set:
-                raise GgxError(f"T is not normal in B: witness ({g},{t})")
-    for g in range(A.order):
-        for s in s_idx:
-            if A.add(A.add(g, s), A.neg(g)) not in s_set:
-                raise GgxError(f"S is not normal in A: witness ({g},{s})")
-    for s in s_idx:
-        if parent.boundary(s) not in t_set:
-            raise GgxError(f"boundary does not map S into T: witness {s}")
-    for b in range(B.order):
-        for s in s_idx:
-            if parent.action.act(b, s) not in s_set:
-                raise GgxError(f"B-action does not keep S stable: witness ({b},{s})")
-    for t in t_idx:
-        for a in range(A.order):
-            if A.sub(parent.action.act(t, a), a) not in s_set:
-                raise GgxError(
-                    f"displacement t.a - a escapes S: witness ({t},{a})")
+    A, B, P = parent.a, parent.b, parent.action.perms
+    in_s, in_t = members(A.order, s_indices), members(B.order, t_indices)
+    s_idx, t_idx = np.flatnonzero(in_s), np.flatnonzero(in_t)
+    require(in_t[conjugates(B, t_idx)], "T is not normal in B",
+            range(B.order), t_idx)
+    require(in_s[conjugates(A, s_idx)], "S is not normal in A",
+            range(A.order), s_idx)
+    require(in_t[parent.boundary.map[s_idx]],
+            "boundary does not map S into T", s_idx)
+    require(in_s[P[:, s_idx]], "B-action does not keep S stable",
+            range(B.order), s_idx)
+    # h(t, a) = t.a - a for every t in T and a in A
+    displacement = A.table[P[t_idx], A.inverse]
+    require(in_s[displacement], "displacement t.a - a escapes S",
+            t_idx, range(A.order))
 
     S, incS = subgroup(A, s_idx, name=f"sub[{A.name}]")
     T, incT = subgroup(B, t_idx, name=f"sub[{B.name}]")
-    lam = hom_restrict(parent.boundary, incS, incT)
-    posS = {v: i for i, v in enumerate(incS.map)}
-
-    act_b_on_s = GroupAction(B, S, tuple(
-        tuple(posS[parent.action.act(b, incS(i))] for i in range(S.order))
-        for b in range(B.order)))
-    act_b_on_t = conjugation_through(GroupHom.identity(B), incT)
-
-    hmap = tuple(
-        tuple(posS[A.sub(parent.action.act(incT(t), a), a)]
-              for a in range(A.order))
-        for t in range(T.order))
-    return CrossedSquare(S, T, A, B, lam, incS, incT, parent.boundary,
-                         act_b_on_s, act_b_on_t, parent.action, hmap)
+    # both tables were checked to land in S above
+    act_b_on_s = GroupAction(B, S, read_back(P[:, s_idx], incS, "left S"))
+    hmap = read_back(displacement, incS, "left S")
+    return CrossedSquare(S, T, A, B, hom_restrict(parent.boundary, incS, incT),
+                         incS, incT, parent.boundary, act_b_on_s,
+                         conjugation_through(GroupHom.identity(B), incT),
+                         parent.action, hmap)

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from ggx import enumeration, serialize
+from ggx import cli, enumeration, serialize
 from ggx.cli import main
+from ggx.groups import FiniteGroup
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -100,6 +101,18 @@ def test_verify_parse_error_is_exit_two(tmp_path, capsys):
                  '"elements": ["0"], "table": [[4]]}')
     assert main(["verify", str(p)]) == 2
     assert "parse error" in capsys.readouterr().err
+
+
+def test_internal_error_is_exit_three_without_traceback(monkeypatch,
+                                                        capsys):
+    def broken_validator(obj):
+        raise RuntimeError("validator fault")
+
+    monkeypatch.setattr(cli, "_VALIDATORS", [(FiniteGroup, broken_validator)])
+    assert main(["verify", fixture("z2-group.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: validator fault\n"
+    assert captured.out == ""
 
 
 def test_usage_error_is_exit_two():

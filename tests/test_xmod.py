@@ -1,16 +1,19 @@
 """Crossed modules over groups and over group-groupoids."""
 
+import numpy as np
 import pytest
 
 from ggx.groups import (GroupAction, GroupHom, conjugation_action, cyclic,
                         klein_four, negation_action, symmetric_3,
                         validate_action)
+from ggx.enumeration import all_actions, all_gg_structures
 from ggx.groupoids import discrete_gg, ker_d0, ker_d1, pair_gg
 from ggx.report import GgxError
 from ggx.xmod import (XModGG, XModGGMorphism, XModGroups, XModGroupsMorphism,
                       arrow_level, discrete_xmod, identity_xmod,
                       inclusion_xmod, induced_actions, object_level_xmod,
-                      pair_xmod, validate_xmod_gg, validate_xmod_gg_morphism,
+                      pair_xmod, validate_action_compatibility,
+                      validate_xmod_gg, validate_xmod_gg_morphism,
                       validate_xmod_groups, validate_xmod_groups_morphism,
                       xmod_catalog, xmod_gg_morphism_compose, zero_xmod)
 
@@ -113,13 +116,14 @@ def test_inclusion_xmod_rejects_non_normal_subgroupoid():
 def test_induced_actions_identity_xmod_abelian_all_trivial():
     xm = identity_xmod(discrete_gg(klein_four()))
     for act in induced_actions(xm):
-        assert act.perms == GroupAction.trivial(act.actor, act.target).perms
+        assert np.array_equal(
+            act.perms, GroupAction.trivial(act.actor, act.target).perms)
 
 
 def test_induced_object_action_of_discrete_xmod_is_base_action():
     xm = discrete_xmod(_xm_inv())
     obj, _, _ = induced_actions(xm)
-    assert obj.perms == _xm_inv().action.perms
+    assert np.array_equal(obj.perms, _xm_inv().action.perms)
 
 
 def test_kernel_arrows_act_trivially_across_the_boundary():
@@ -172,8 +176,8 @@ def test_object_level_xmod_validates():
 def test_object_level_of_discrete_xmod_is_the_base():
     xm = discrete_xmod(_xm_inv())
     ol = object_level_xmod(xm)
-    assert ol.boundary.map == _xm_inv().boundary.map
-    assert ol.action.perms == _xm_inv().action.perms
+    assert np.array_equal(ol.boundary.map, _xm_inv().boundary.map)
+    assert np.array_equal(ol.action.perms, _xm_inv().action.perms)
 
 
 def test_arrow_level_valid_whenever_structure_valid(corpus_small):
@@ -198,3 +202,17 @@ def test_groups_morphism_validation():
     bad = XModGroupsMorphism(xm, xm, GroupHom.identity(z2),
                              GroupHom.zero(z2, z2))
     assert not validate_xmod_groups_morphism(bad).ok
+
+
+def test_action_inverse_and_interchange_laws_fire():
+    # z6 over z2 acted on by arrows of v4 over z2: two actions that pass
+    # every earlier compatibility law, one failing the interchange with
+    # composition and one failing the preservation of groupoid inverses
+    G = all_gg_structures(cyclic(6), cyclic(2))[0]
+    Hs = all_gg_structures(klein_four(), cyclic(2))
+    rep = validate_action_compatibility(
+        G, Hs[0], all_actions(Hs[0].arrows, G.arrows)[2])
+    assert (rep.axiom, rep.witness) == ("act-interchange", (1, 0, 1, 1))
+    rep = validate_action_compatibility(
+        G, Hs[2], all_actions(Hs[2].arrows, G.arrows)[1])
+    assert (rep.axiom, rep.witness) == ("act-inv", (1, 1))
