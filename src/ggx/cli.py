@@ -14,7 +14,8 @@ Verbs:
                           soon as it is found).
 * ``catalog list`` / ``catalog emit NAME [-o OUT]``.
 
-Every verb exits 2 on a usage or parse error, and 3, after one line on
+Every verb exits 2 on a usage or parse error (an unreadable input is a
+parse error) or an output it cannot write, and 3, after one line on
 stderr, on an internal error: an exception that is neither a parse error
 nor a :class:`~ggx.report.GgxError`.
 
@@ -92,6 +93,15 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+def _write(obj, output) -> None:
+    """Print the document of ``obj`` to the file ``output``, or to stdout."""
+    if output:
+        serialize.dump_path(obj, output)
+        print(f"wrote {serialize.kind_of(obj)} to {output}")
+    else:
+        sys.stdout.write(serialize.dumps(obj))
+
+
 _FUNCTORS = {"theta": theta, "gamma": gamma, "delta": delta, "eta": eta}
 _FUNCTOR_INPUT = {"theta": XModGG, "gamma": DoubleGroupGroupoid,
                   "delta": XModGG, "eta": CrossedSquare}
@@ -108,14 +118,7 @@ def _cmd_apply(args) -> int:
     if not report.ok:
         _print_report(serialize.kind_of(obj), report, args.json)
         return 1
-    out = _FUNCTORS[args.functor](obj)
-    text = serialize.dumps(out)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {serialize.kind_of(out)} to {args.output}")
-    else:
-        sys.stdout.write(text)
+    _write(_FUNCTORS[args.functor](obj), args.output)
     return 0
 
 
@@ -188,7 +191,11 @@ def _cmd_enumerate(args) -> int:
         emitted = enumeration.all_xmod_gg(
             enumeration.resolve_bound(args.max_order))
     if args.out_dir:
-        os.makedirs(args.out_dir, exist_ok=True)
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise GgxError(f"cannot create {args.out_dir}: "
+                           f"{exc.strerror or exc}") from None
     count = 0
     for obj in emitted:
         if args.out_dir:
@@ -206,14 +213,7 @@ def _cmd_catalog(args) -> int:
         for name in _catalog.catalog_names():
             print(name)
         return 0
-    obj = _catalog.catalog_build(args.name)
-    text = serialize.dumps(obj)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {serialize.kind_of(obj)} to {args.output}")
-    else:
-        sys.stdout.write(text)
+    _write(_catalog.catalog_build(args.name), args.output)
     return 0
 
 

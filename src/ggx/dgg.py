@@ -29,8 +29,8 @@ import numpy as np
 
 from .groups import (SCAN_CHUNK, FiniteGroup, GroupHom, compose, entries,
                      is_injective, is_surjective, validate_hom)
-from .groupoids import (GroupGroupoid, groupoid_inverse, inverse_map,
-                        validate_group_groupoid)
+from .groupoids import (GroupGroupoid, compose_arrows, groupoid_inverse,
+                        inverse_map, validate_group_groupoid)
 from .report import (VALID, NotComposableError, ValidationReport, fail,
                      first_violation, nested)
 from .xmod import XModGroups
@@ -77,17 +77,13 @@ class DoubleGroupGroupoid:
 def comp_h(d: DoubleGroupGroupoid, alpha: int, beta: int) -> int:
     """Composite of ``alpha`` then ``beta`` in the ``(S,H)`` direction;
     requires ``d1h(alpha) = d0h(beta)``."""
-    if d.d1h(alpha) != d.d0h(beta):
-        raise NotComposableError(f"squares {alpha}, {beta} not h-composable")
-    return d.s.add(d.s.sub(beta, d.epsh(d.d0h(beta))), alpha)
+    return compose_arrows(d.gg_sh(), alpha, beta)
 
 
 def comp_v(d: DoubleGroupGroupoid, alpha: int, beta: int) -> int:
     """Composite of ``alpha`` then ``beta`` in the ``(S,V)`` direction;
     requires ``d1v(alpha) = d0v(beta)``."""
-    if d.d1v(alpha) != d.d0v(beta):
-        raise NotComposableError(f"squares {alpha}, {beta} not v-composable")
-    return d.s.add(d.s.sub(beta, d.epsv(d.d0v(beta))), alpha)
+    return compose_arrows(d.gg_sv(), alpha, beta)
 
 
 def inv_h(d: DoubleGroupGroupoid, beta: int) -> int:

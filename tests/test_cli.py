@@ -103,6 +103,53 @@ def test_verify_parse_error_is_exit_two(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def write_file(path, data: bytes) -> str:
+    path.write_bytes(data)
+    return str(path)
+
+
+def reference_to_undecodable(tmp_path) -> str:
+    write_file(tmp_path / "bad.json", b"\xff")
+    doc = {"kind": "hom", "format_version": 1, "domain": "bad.json",
+           "codomain": "bad.json", "map": [0]}
+    return write_file(tmp_path / "ref.json", json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("argv, first_words", [
+    (lambda d: ["verify", str(d / "missing.json")],
+     "parse error: cannot read"),
+    (lambda d: ["verify", str(d)], "parse error: cannot read"),
+    (lambda d: ["verify", write_file(d / "bad.json", b"\xff")],
+     "parse error: cannot read"),
+    (lambda d: ["verify", reference_to_undecodable(d)],
+     "parse error: .domain: cannot read"),
+    (lambda d: ["verify", write_file(d / "deep.json", b"[" * 200_000)],
+     "parse error: not valid JSON"),
+    (lambda d: ["verify", write_file(d / "digits.json", b"1" * 5000)],
+     "parse error:"),
+    (lambda d: ["verify", edited_fixture(d, "z2-group.json",
+                                         [(("extra",), 1)])],
+     "parse error: .extra: unknown field 'extra'"),
+    (lambda d: ["catalog", "emit", "z2", "-o", str(d / "no" / "x.json")],
+     "error: cannot write"),
+    (lambda d: ["apply", "theta", fixture("identity-xmod-z2.json"),
+                "-o", str(d / "no" / "x.json")], "error: cannot write"),
+    (lambda d: ["enumerate", "homs", "--a", "z2", "--b", "z2", "--out-dir",
+                os.path.join(write_file(d / "file", b""), "sub")],
+     "error: cannot create"),
+], ids=["missing-file", "directory", "undecodable-file",
+        "undecodable-reference", "deep-nesting", "long-integer",
+        "unknown-field", "unwritable-catalog-output",
+        "unwritable-apply-output", "unusable-out-dir"])
+def test_unreadable_input_and_unwritable_output_are_exit_two(
+        tmp_path, capsys, argv, first_words):
+    assert main(argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(first_words), lines
+
+
 def test_internal_error_is_exit_three_without_traceback(monkeypatch,
                                                         capsys):
     def broken_validator(obj):

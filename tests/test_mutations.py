@@ -1,6 +1,7 @@
-"""A property over every fixture: a document with one integer entry changed
-either fails to parse or gets a report whose tag the axiom-tag table of
-``docs/format.md`` names."""
+"""Properties over every fixture: a document with one integer entry changed,
+or with one field dropped, added or replaced by a value of another JSON
+type, either fails to parse or gets a report whose tag the axiom-tag table
+of ``docs/format.md`` names."""
 
 import copy
 import json
@@ -52,6 +53,15 @@ def integer_rows(value, out) -> list:
     return out
 
 
+def objects(value, out) -> list:
+    """The JSON objects of a document: itself and every nested structure."""
+    if isinstance(value, dict):
+        out.append(value)
+        for v in value.values():
+            objects(v, out)
+    return out
+
+
 TAGS = documented_tags()
 FIXTURES = fixtures()
 
@@ -77,5 +87,33 @@ def test_single_entry_mutations_report_documented_tags(data):
         obj = serialize.loads(json.dumps(doc), basedir=FIXDIR)
     except ParseError:
         return
+    report = _validator_for(obj)(obj)
+    assert report.ok or report.axiom in TAGS, (name, report.describe())
+
+
+MUTATIONS = [("drop", None), ("add", None)] + [
+    ("replace", value) for value in ("x", {}, [], True, 1.5, None)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_structural_mutations_report_documented_tags(data):
+    name, doc = data.draw(st.sampled_from(FIXTURES))
+    doc = copy.deepcopy(doc)
+    node = data.draw(st.sampled_from(objects(doc, [])))
+    key = data.draw(st.sampled_from(sorted(node)))
+    how, value = data.draw(st.sampled_from(MUTATIONS))
+    if how == "drop":
+        del node[key]
+    elif how == "add":
+        node[key + "_extra"] = 0
+    else:
+        node[key] = copy.deepcopy(value)
+    try:
+        obj = serialize.loads(json.dumps(doc), basedir=FIXDIR)
+    except ParseError:
+        return
+    # the schema requires every field and forbids any other
+    assert how == "replace", (name, key, how)
     report = _validator_for(obj)(obj)
     assert report.ok or report.axiom in TAGS, (name, report.describe())

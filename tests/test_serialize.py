@@ -75,6 +75,10 @@ def test_unknown_kind_and_version_mismatch():
         serialize.loads(json.dumps({"kind": "group", "format_version": 99,
                                     "name": "g", "elements": ["0"],
                                     "table": [[0]]}))
+    with pytest.raises(ParseError):
+        serialize.loads(json.dumps({"kind": "group", "format_version": True,
+                                    "name": "g", "elements": ["0"],
+                                    "table": [[0]]}))
 
 
 def test_missing_field_names_the_field():
@@ -82,6 +86,35 @@ def test_missing_field_names_the_field():
         serialize.loads(json.dumps({"kind": "group", "format_version": 1,
                                     "name": "g", "elements": ["0"]}))
     assert "table" in str(err.value)
+
+
+def test_unknown_field_is_named_after_the_version():
+    group = {"kind": "group", "format_version": 1, "name": "g",
+             "elements": ["0"], "table": [[0]]}
+    doc = {"kind": "hom", "format_version": 1, "domain": dict(group),
+           "codomain": group, "map": [0]}
+    doc["domain"]["extra"] = 1
+    with pytest.raises(ParseError) as err:
+        serialize.loads(json.dumps(doc))
+    assert str(err.value) == ".domain.extra: unknown field 'extra'"
+    # the unknown field is reported before a missing one
+    with pytest.raises(ParseError) as err:
+        serialize.loads(json.dumps({"kind": "group", "format_version": 1,
+                                    "note": "", "name": "g"}))
+    assert "unknown field 'note'" in str(err.value)
+
+
+def test_the_schema_states_the_layout():
+    with open(os.path.join(FIXDIR, "..", "..", "docs",
+                           "document-schema.json"), encoding="utf-8") as fh:
+        schema = json.load(fh)
+    assert [entry["$ref"] for entry in schema["oneOf"]] == \
+        [f"#/definitions/{kind}" for kind in serialize.LAYOUT]
+    for kind, (_cls, fields) in serialize.LAYOUT.items():
+        keys = ["kind", "format_version"] + [key for key, _, _ in fields]
+        definition = schema["definitions"][kind]
+        assert definition["required"] == keys, kind
+        assert list(definition["properties"]) == keys, kind
 
 
 def test_reference_resolution():
