@@ -9,9 +9,11 @@ derived formula ``b o a = b - eps(d0(b)) + a`` (defined when
 composability convention is "a then b", so ``d0(b o a) = d0(a)`` and
 ``d1(b o a) = d1(b)``.
 
-Validation checks the section laws, the elementwise commutation of
-``Ker d0`` with ``Ker d1`` (the condition that makes the derived formula a
-groupoid composition) and then asserts every derived law exhaustively.
+Validation checks the section laws and the elementwise commutation of
+``Ker d0`` with ``Ker d1``, the condition that makes the derived formula a
+groupoid composition.  Every groupoid law of the derived composition, and
+its interchange with the group operation, follows from these by the proofs
+in ``docs/format.md`` ("Implied laws"), so none is scanned.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import (SCAN_CHUNK, FiniteGroup, GroupAction, GroupHom,
-                     SplitExtension, compose, conjugation_action,
-                     conjugation_through, direct_product, entries,
-                     index_dtype, kernel, pair_map, read_back, sd_index,
-                     semidirect_product, split_maps, trivial_group,
-                     validate_group, validate_hom, validate_split_extension)
+from .groups import (FiniteGroup, GroupAction, GroupHom, SplitExtension,
+                     compose, conjugation_action, conjugation_through,
+                     direct_product, index_dtype, kernel, pair_map,
+                     read_back, sd_index, semidirect_product, split_maps,
+                     trivial_group, validate_group, validate_hom,
+                     validate_split_extension)
 from .report import (VALID, NotComposableError, ValidationReport, fail,
                      first_violation, nested)
 
@@ -113,10 +115,12 @@ def validate_group_groupoid(gg: GroupGroupoid) -> ValidationReport:
     """Exhaustive check of the group-groupoid axioms.
 
     Component problems are reported under their own location; the structural
-    axioms then follow in a fixed scan order: section laws, kernel
-    commutation, and the derived-composition laws (the two equivalent
-    composition formulas, endpoints, associativity, identities, inverses and
-    the one-groupoid interchange with the group operation).
+    axioms then follow in a fixed scan order: section laws, then kernel
+    commutation.  Those imply every law of the derived composition (the two
+    composition formulas agree; endpoints, associativity, identities,
+    inverses and the interchange with the group operation hold), so none of
+    them is scanned: the proofs are in the "Implied laws" section of
+    ``docs/format.md``.
     """
     for grp, where in ((gg.arrows, "arrows"), (gg.objects, "objects")):
         rep = validate_group(grp)
@@ -147,88 +151,11 @@ def validate_group_groupoid(gg: GroupGroupoid) -> ValidationReport:
     zero_obj = gg.objects.zero
     K0 = np.flatnonzero(d0m == zero_obj)
     K1 = np.flatnonzero(d1m == zero_obj)
-    if not (rep := first_violation(
-            lambda i, j: fail("ker-commute", (int(K0[i]), int(K1[j])),
-                              f"{K0[i]} in Ker d0 and {K1[j]} in Ker d1 do "
-                              "not commute"),
-            tbl[K0[:, None], K1], tbl[K1[:, None], K0].T)).ok:
-        return rep
-
-    A, B, comp, comp_full = pairs = gg.composable_pairs
-
-    def at_pair(tag, message):
-        return lambda i: fail(tag, (int(A[i]), int(B[i])), message)
-
-    # the two composition formulas agree: b - eps(d0 b) + a == a - eps(d1 a) + b
-    neg = gg.arrows.inverse
-    if not (rep := first_violation(
-            at_pair("comp-agree",
-                    "the two derived composition formulas disagree"),
-            comp, tbl[tbl[A, neg[em[d1m[A]]]], B])).ok:
-        return rep
-    if not (rep := first_violation(
-            at_pair("comp-endpoint", "composite has wrong source or target"),
-            (d0m[comp] != d0m[A]) | (d1m[comp] != d1m[B]))).ok:
-        return rep
-
-    # (i, c): the pair i followed by every arrow c composable with it
-    arrows = np.arange(gg.arrows.order)
-    then_c = d0m[None, :] == d1m[B][:, None]
-    if not (rep := first_violation(
-            lambda i, c: fail("comp-assoc", (int(A[i]), int(B[i]), c),
-                              "derived composition is not associative"),
-            then_c & (comp_full[comp[:, None], arrows[None, :]]
-                      != comp_full[A[:, None], comp_full[B[:, None],
-                                                         arrows[None, :]]]))).ok:
-        return rep
-
-    # per arrow a: the two identity laws, then the two inverse laws
-    inv = inverse_map(gg)
-
-    def unit_law(a, k):
-        if k == 0:
-            return fail("comp-identity", (a,), f"eps(d1({a})) o {a} != {a}")
-        if k == 1:
-            return fail("comp-identity", (a,), f"{a} o eps(d0({a})) != {a}")
-        return fail("comp-inverse", (a, int(inv[a])),
-                    "groupoid inverse fails the identity laws")
-
-    if not (rep := first_violation(unit_law, np.array(
-            [comp_full[arrows, em[d1m]] != arrows,
-             comp_full[em[d0m], arrows] != arrows,
-             (comp_full[inv, arrows] != em[d1m])
-             | (comp_full[arrows, inv] != em[d0m])]).T)).ok:
-        return rep
-
-    return interchange_add(tbl, pairs)
-
-
-def interchange_add(tbl, pairs) -> ValidationReport:
-    """The interchange ``(b o a) + (b1 o a1) == (b + b1) o (a + a1)`` of a
-    groupoid composition with the group operation ``tbl``, over every two
-    composable ``pairs``; the witness is ``(a, b, a1, b1)``.
-
-    The pairs ``(a, b)`` are scanned in blocks of rows; each block reads
-    its rows of the columns ``x + a1``, ``x + b1`` and ``x + (b1 o a1)``,
-    gathered once in the compact :func:`~ggx.groups.index_dtype`.
-    """
-    A, B, comp, comp_full = pairs
-    t = tbl.astype(index_dtype(len(tbl)))
-    plus_a, plus_b, plus_comp = t[:, A], t[:, B], t[:, comp]
-    for i0 in range(0, len(A), SCAN_CHUNK):
-        sl = slice(i0, i0 + SCAN_CHUNK)
-        # the right-hand side first, so its intp positions are freed before
-        # the left-hand side is allocated (twice as fast on 324 arrows)
-        rhs = entries(comp_full, plus_a[A[sl]], plus_b[B[sl]])
-        rep = first_violation(
-            lambda i, j: fail("interchange",
-                              (int(A[i0 + i]), int(B[i0 + i]),
-                               int(A[j]), int(B[j])),
-                              "(b o a) + (b1 o a1) != (b + b1) o (a + a1)"),
-            plus_comp[comp[sl]], rhs)
-        if not rep.ok:
-            return rep
-    return VALID
+    return first_violation(
+        lambda i, j: fail("ker-commute", (int(K0[i]), int(K1[j])),
+                          f"{K0[i]} in Ker d0 and {K1[j]} in Ker d1 do "
+                          "not commute"),
+        tbl[K0[:, None], K1], tbl[K1[:, None], K0].T)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,9 @@ from .report import (BoundExceededError, DomainMismatchError, GgxError,
                      ValidationReport, fail, first_violation, nested,
                      once_per_value)
 
-# pairs per block of the blocked scans: composable pairs of the interchange
-# scans in groupoids, dgg and xmod, pairs (i, j) of the associativity scan
-# here; each block checks its pairs against the whole of the other axis
+# pairs per block of the blocked scans: composable pairs of the action
+# interchange scan in xmod, pairs (i, j) of the associativity scan here;
+# each block checks its pairs against the whole of the other axis
 SCAN_CHUNK = 256
 
 
@@ -47,13 +47,6 @@ def index_dtype(n: int):
     """The compact integer dtype the scans use for element indices below
     ``n`` and for -1: int16 below 2**15 elements, else int32."""
     return np.int16 if n < 1 << 15 else np.int32
-
-
-def entries(m, x, y):
-    """``m[x, y]`` for broadcastable index arrays ``x`` and ``y``, read as one
-    flat gather at ``x * m.shape[1] + y``.  The positions are computed in
-    intp whatever the dtype of ``x``, so compact indices cannot overflow."""
-    return m.ravel()[np.multiply(x, m.shape[1], dtype=np.intp) + y]
 
 
 def index_array(values) -> np.ndarray:

@@ -36,15 +36,17 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from ggx.catalog import catalog_build
 from ggx.dgg import trivial_dgg, validate_dgg, validate_dgg_morphism
-from ggx.enumeration import all_actions, all_homs, all_xmod_gg
+from ggx.enumeration import (all_actions, all_gg_structures, all_homs,
+                             all_xmod_gg)
 from ggx.equiv import (delta, roundtrip_delta_eta, roundtrip_eta_delta,
                        roundtrip_gamma_theta, roundtrip_theta_gamma, theta)
 from ggx.groups import (FiniteGroup, GroupAction, GroupHom, cyclic,
-                        negation_action, split_extension_from_action,
-                        symmetric_3, trivial_group, validate_group,
+                        klein_four, negation_action,
+                        split_extension_from_action, symmetric_3,
+                        trivial_group, validate_group,
                         validate_split_extension)
 from ggx.groupoids import GroupGroupoid, pair_gg, validate_group_groupoid
-from ggx.xmod import (validate_xmod_gg, validate_xmod_gg_morphism,
+from ggx.xmod import (XModGG, validate_xmod_gg, validate_xmod_gg_morphism,
                       validate_xmod_groups)
 from ggx.xsq import CrossedSquare, validate_xsq, validate_xsq_morphism
 
@@ -96,6 +98,19 @@ def _s3_over_1():
     s3, one = symmetric_3(), trivial_group()
     zero = GroupHom.zero(s3, one)
     return GroupGroupoid(s3, one, zero, zero, GroupHom.zero(one, s3))
+
+
+def _action_xmods() -> dict:
+    """``z6`` over ``z2`` under the zero boundary and the trivial action of
+    the arrows of each ``v4`` over ``z2``: valid crossed modules whose
+    changed actions reach ``act-inv`` and ``act-interchange``, which no
+    bound-4 instance reaches."""
+    g = all_gg_structures(cyclic(6), cyclic(2))[0]
+    return {f"z6-z2-by-v4-z2-{k}": XModGG(
+        g, h, GroupHom.zero(g.arrows, h.arrows),
+        GroupHom.zero(g.objects, h.objects),
+        GroupAction.trivial(h.arrows, g.arrows))
+        for k, h in enumerate(all_gg_structures(klein_four(), cyclic(2)))}
 
 
 def bilinear_xsq() -> CrossedSquare:
@@ -164,6 +179,7 @@ FAMILIES = {
     "xmod-gg": (validate_xmod_gg, _xmods,
                 ("boundary_arrows", "boundary_objects", "action",
                  "g.d0", "g.d1", "g.eps")),
+    "xmod-gg-act": (validate_xmod_gg, _action_xmods, ("action",)),
     "dgg": (validate_dgg, _dggs, DGG_MAPS),
     "xsq": (validate_xsq, _xsqs,
             ("lam", "lam_prime", "mu", "nu", "act_p_on_l", "act_p_on_m",

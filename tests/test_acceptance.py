@@ -26,6 +26,7 @@ from ggx.groups import (GroupAction, GroupHom, cyclic, derived_action,
 from ggx.groupoids import discrete_gg, pair_gg, validate_group_groupoid
 from ggx.xmod import XModGroups
 from ggx.xsq import validate_xsq
+from reference_laws import dgg_laws
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -198,8 +199,11 @@ def test_c4_double_interchange(corpus):
         if xm.g.arrows.order * xm.h.arrows.order > 64:
             continue
         d = theta(xm)
-        # (S,H) and (S,V) `interchange`, then `interchange-mixed`
         rep = validate_dgg(d)
+        assert rep.ok, rep.describe()
+        # (S,H) and (S,V) `interchange`, then `interchange-mixed`: proved
+        # from what validate_dgg checks, scanned here by the oracle
+        rep = dgg_laws(d)
         assert rep.ok, rep.describe()
         _corollary_checks(d)
         checked += 1

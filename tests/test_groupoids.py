@@ -12,15 +12,15 @@ from ggx.groups import (SCAN_CHUNK, GroupAction, GroupHom,
 from ggx.groupoids import (GGMorphism, GroupGroupoid, compose_arrows, costar,
                            discrete_gg, gg_conjugation_extension,
                            gg_from_xmod, gg_morphism_compose, gg_semidirect,
-                           groupoid_inverse, interchange_add,
-                           is_gg_isomorphism, ker_d0, ker_d1, pair_gg,
-                           splitting_iso, star, validate_gg_morphism,
-                           validate_group_groupoid,
+                           groupoid_inverse, is_gg_isomorphism, ker_d0,
+                           ker_d1, pair_gg, splitting_iso, star,
+                           validate_gg_morphism, validate_group_groupoid,
                            validate_split_extension_gg, xmod_from_gg)
 from ggx.report import NotComposableError
 from ggx.xmod import XModGroups, validate_xmod_groups
 from ggx.enumeration import all_gg_structures
 from dataclasses import replace
+from reference_laws import interchange_add
 
 
 def test_discrete_gg_is_valid():

@@ -10,8 +10,8 @@ import ggx.groups
 from ggx.catalog import catalog_build
 from ggx.equiv import theta
 from ggx.groups import (SCAN_CHUNK, FiniteGroup, GroupAction,
-                        GroupHom, SplitExtension, entries,
-                        compose, conjugation_action, conjugation_extension,
+                        GroupHom, SplitExtension, compose,
+                        conjugation_action, conjugation_extension,
                         cyclic, derived_action, dihedral_8, direct_product,
                         image, is_injective, is_isomorphism, is_surjective,
                         iso_search, kernel, klein_four, negation_action,
@@ -20,6 +20,7 @@ from ggx.groups import (SCAN_CHUNK, FiniteGroup, GroupAction,
                         validate_action, validate_group,
                         validate_split_extension)
 from ggx.report import DomainMismatchError, GgxError
+from reference_laws import entries
 
 
 def test_z2_is_valid():
