@@ -33,13 +33,15 @@ from itertools import product
 
 import numpy as np
 
-from .report import (BoundExceededError, DomainMismatchError, GgxError,
-                     ValidationReport, fail, first_violation, nested,
+from .report import (VALID, BoundExceededError, DomainMismatchError,
+                     GgxError, ValidationReport, fail, first_violation, nested,
                      once_per_value)
 
 # pairs per block of the blocked scans: composable pairs of the action
 # interchange scan in xmod, pairs (i, j) of the associativity scan here;
-# each block checks its pairs against the whole of the other axis
+# each block checks its pairs against the whole of the other axis.  A group
+# table with at most SCAN_CHUNK pairs is checked for associativity whole, in
+# one block; a larger one with j over a generating set (validate_group)
 SCAN_CHUNK = 256
 
 
@@ -163,14 +165,72 @@ class FiniteGroup(IndexArrays):
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
+def generating_sequence(g: FiniteGroup) -> list[int]:
+    """A greedy generating set: scan indices, keep whatever enlarges the
+    span (the closure under ``+`` of the identity and what was kept so far).
+
+    In a group the span is a subgroup, so each kept element at least doubles
+    it and at most ``log2(order)`` are kept.  The table needs only an
+    identity and to be a Latin square: the span of the result is every
+    element whether or not ``+`` is associative."""
+    gens: list[int] = []
+    span = np.zeros(g.order, dtype=bool)
+    span[g.zero] = True
+    for x in range(g.order):
+        if span[x]:
+            continue
+        gens.append(x)
+        span[x] = True
+        while True:
+            idx = np.flatnonzero(span)
+            grown = span.copy()
+            grown[g.table[np.ix_(idx, idx)]] = True
+            if (grown == span).all():
+                break
+            span = grown
+        if span.all():
+            break
+    return gens
+
+
+def scan_associativity(t: np.ndarray, middles) -> ValidationReport:
+    """The first ``(i, j, k)`` in row-major order with ``(i+j)+k !=
+    i+(j+k)`` in the table ``t``, over every ``i`` and ``k`` and the
+    middles ``j`` listed in ``middles``: an index list, or ``slice(None)``
+    for every element.
+
+    Whole rows ``i`` at a time: each block holds at least SCAN_CHUNK pairs
+    ``(i, j)``, each checked against every ``k``.
+    """
+    n = len(t)
+    mid = t[middles]                             # (j, k) -> j+k
+    rows = -(-SCAN_CHUNK // len(mid))
+
+    def violation(i, j, k):                      # in the block at row i0
+        i, j = i0 + i, int(np.arange(n)[middles][j])
+        return fail("associativity", (i, j, k),
+                    f"({i}+{j})+{k} != {i}+({j}+{k})")
+
+    for i0 in range(0, n, rows):
+        blk = t[i0:i0 + rows]
+        if not (rep := first_violation(violation, t[blk[:, middles]],
+                                       np.take(blk, mid, axis=1))).ok:
+            return rep
+    return VALID
+
+
 @once_per_value
 def validate_group(g: FiniteGroup) -> ValidationReport:
-    """Check the group axioms exhaustively.
+    """Decide the group axioms exactly, with the first witness of a
+    violation in scan order.
 
     Malformed data (a table of the wrong shape, out-of-range index,
     duplicate names) is reported with the ``malformed`` tag, distinct from
     axiom failures.  Axiom scan order: Latin square, identity,
-    associativity, inverses.
+    associativity, inverses.  A table with more than SCAN_CHUNK pairs is
+    checked for associativity over a generating set of middles, and again
+    over every middle only to locate the first witness (Light's test, see
+    "Implied laws" in ``docs/format.md``).
     """
     n = len(g.elements)
     if n == 0:
@@ -206,17 +266,13 @@ def validate_group(g: FiniteGroup) -> ValidationReport:
         return fail("identity", (), "no two-sided identity element")
     identity = int(identities[0])
 
-    # (i+j)+k against i+(j+k), whole rows i at a time: each block holds at
-    # least SCAN_CHUNK pairs (i, j), each checked against every k
+    # Light's test: the middles j with (i+j)+k = i+(j+k) for every i and k
+    # hold the identity and are closed under +, so they are every element
+    # once they hold a generating set
     t = tbl.astype(index_dtype(n))
-    rows = -(-SCAN_CHUNK // n)
-    for i0 in range(0, n, rows):
-        blk = t[i0:i0 + rows]
-        if not (rep := first_violation(
-                lambda i, j, k: fail("associativity", (i0 + i, j, k),
-                                     f"({i0 + i}+{j})+{k} != "
-                                     f"{i0 + i}+({j}+{k})"),
-                t[blk], np.take(blk, t, axis=1))).ok:
+    if n * n <= SCAN_CHUNK or \
+            not scan_associativity(t, generating_sequence(g)).ok:
+        if not (rep := scan_associativity(t, slice(None))).ok:
             return rep
 
     # every row is a permutation, so each i has one right inverse
@@ -557,29 +613,6 @@ def conjugation_extension(g: FiniteGroup) -> SplitExtension:
 
 # ---------------------------------------------------------------------------
 # Isomorphism search (diagnostics only; naive backtracking)
-
-
-def generating_sequence(g: FiniteGroup) -> list[int]:
-    """A greedy generating set: scan indices, keep whatever enlarges the
-    span (the subgroup generated so far)."""
-    gens: list[int] = []
-    span = np.zeros(g.order, dtype=bool)
-    span[g.zero] = True
-    for x in range(g.order):
-        if span[x]:
-            continue
-        gens.append(x)
-        span[x] = True
-        while True:
-            idx = np.flatnonzero(span)
-            grown = span.copy()
-            grown[g.table[np.ix_(idx, idx)]] = True
-            if (grown == span).all():
-                break
-            span = grown
-        if span.all():
-            break
-    return gens
 
 
 def generating_words(g: FiniteGroup, gens: list[int]) -> list[tuple[int, int]]:

@@ -2,6 +2,7 @@ import pytest
 
 from ggx.catalog import catalog_build, catalog_names
 from ggx.enumeration import all_xmod_gg
+from ggx.equiv import gamma, theta
 from ggx.xmod import XModGG
 
 
@@ -29,3 +30,16 @@ def corpus(catalog_entries):
                 obj.g.arrows.order * obj.h.arrows.order <= 64:
             items.append(obj)
     return items
+
+
+@pytest.fixture(scope="session")
+def large_squares(catalog_entries):
+    """The square groups of order 256 and 324 that the large pipeline
+    validates: of ``theta(x)`` and of ``theta(gamma(theta(x)))`` for the
+    three large catalog crossed modules."""
+    out = {}
+    for name in ("pair-xmod-z4", "pair-xmod-v4", "pair-xmod-s3"):
+        d = theta(catalog_entries[name])
+        out[f"theta({name})"] = d.s
+        out[f"theta(gamma(theta({name})))"] = theta(gamma(d)).s
+    return out

@@ -9,7 +9,10 @@ and report on the deeper axioms:
 * a structure map, boundary, action or comparison-map component replaced
   by another valid homomorphism or action between the same groups;
 * one entry of a group table or of the pairing table of a crossed square
-  changed.
+  changed;
+* an intercalate of a group table of order 32 to 72 swapped (a 2x2
+  subsquare ``a b / b a`` becomes ``b a / a b``), which leaves a loop: a
+  Latin square with the same identity, but not associative.
 
 A case key ``family/instance/site#i`` names the ``i``-th option of a site
 in a fixed enumeration order (homs and actions as the enumeration oracles
@@ -30,7 +33,10 @@ import json
 import os
 import random
 import sys
+from collections.abc import Sequence
 from dataclasses import replace
+
+import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -41,7 +47,8 @@ from ggx.enumeration import (all_actions, all_gg_structures, all_homs,
 from ggx.equiv import (delta, roundtrip_delta_eta, roundtrip_eta_delta,
                        roundtrip_gamma_theta, roundtrip_theta_gamma, theta)
 from ggx.groups import (FiniteGroup, GroupAction, GroupHom, cyclic,
-                        klein_four, negation_action,
+                        dihedral_8, direct_product, klein_four,
+                        negation_action, quaternion_8,
                         split_extension_from_action, symmetric_3,
                         trivial_group, validate_group,
                         validate_split_extension)
@@ -55,6 +62,7 @@ OUT = os.path.join(os.path.dirname(__file__), "fixtures", "witnesses.json")
 SEED = 1802
 BOUND = 64      # order bound for the hom and action searches
 PER_SITE = 3    # options kept per site before only new outcomes are kept
+KEPT = {"group-loop": 10}   # families that keep more options per site
 SCAN = 400      # options of a site whose outcome is looked at
 
 XMOD_CATALOG = ("pair-xmod-z3-z2-inv", "shear-xmod-v4-z2", "pair-xmod-z2",
@@ -90,6 +98,55 @@ def _loop5():
 def _no_identity():
     return FiniteGroup.from_rows(
         "q3", [[(j - i) % 3 for j in range(3)] for i in range(3)])
+
+
+def loop_bases() -> dict:
+    """Groups of order 32 to 72 whose swapped intercalates give loops past
+    the single block of the associativity scan."""
+    z2 = cyclic(2)
+    z2_5 = z2
+    for _ in range(4):
+        z2_5 = direct_product(z2_5, z2)
+    return {"z2^5": z2_5, "z2xz18": direct_product(z2, cyclic(18)),
+            "d4xq8": direct_product(dihedral_8(), quaternion_8()),
+            "s3xz2xz6": direct_product(direct_product(symmetric_3(), z2),
+                                       cyclic(6))}
+
+
+def intercalates(g: FiniteGroup) -> np.ndarray:
+    """Every intercalate ``(r1, r2, c1, c2)`` of ``g``'s table off the
+    identity row and column, ``r1 < r2`` and ``c1 < c2``, in lexicographic
+    order: ``t[r1, c1] == t[r2, c2]`` and ``t[r1, c2] == t[r2, c1]``."""
+    t, n = g.table, g.order
+    col = np.argsort(t, axis=1)         # col[r, v]: the column of v in row r
+    r1, r2, c1 = np.meshgrid(*(np.arange(n),) * 3, indexing="ij")
+    c2 = col[r2, t[r1, c1]]
+    ok = ((r1 < r2) & (c1 < c2) & (t[r1, c2] == t[r2, c1])
+          & (r1 != g.zero) & (c1 != g.zero))
+    return np.stack([r1[ok], r2[ok], c1[ok], c2[ok]], axis=1)
+
+
+def swapped(g: FiniteGroup, cell) -> FiniteGroup:
+    """``g`` with the intercalate ``cell`` swapped: its two columns trade
+    places in its two rows."""
+    r1, r2, c1, c2 = cell
+    t = g.table.copy()
+    t[np.ix_([r1, r2], [c1, c2])] = t[np.ix_([r1, r2], [c2, c1])]
+    return FiniteGroup(f"{g.name}~swap", g.elements, t)
+
+
+class _Swaps(Sequence):
+    """The loops of every intercalate swap of a group, built on demand:
+    listing them all would take gigabytes."""
+
+    def __init__(self, g: FiniteGroup):
+        self.g, self.cells = g, intercalates(g)
+
+    def __len__(self):
+        return len(self.cells)
+
+    def __getitem__(self, i):
+        return swapped(self.g, self.cells[i])
 
 
 def _s3_over_1():
@@ -156,12 +213,13 @@ def _comparisons(roundtrip, sources):
 
 
 # family -> (validator, instances, sites); a site is a dotted field path
-# into the instance, "table" / "hmap" for single-entry changes, or "self"
-# for the instance unchanged
+# into the instance, "table" / "hmap" for single-entry changes,
+# "intercalate" for intercalate swaps, or "self" for the instance unchanged
 FAMILIES = {
     "group": (validate_group, lambda: {
         "loop5": _loop5(), "no-identity": _no_identity(), "z3": cyclic(3),
         "v4": catalog_build("v4"), "s3": symmetric_3()}, ("self", "table")),
+    "group-loop": (validate_group, loop_bases, ("intercalate",)),
     "splitext": (validate_split_extension, lambda: {
         "z3-z2-inv": catalog_build("splitext-z3-z2-inv"),
         "z2-z2": split_extension_from_action(
@@ -244,6 +302,8 @@ def options(obj, site) -> list:
     if site == "table":
         return [FiniteGroup(obj.name, obj.elements, _with_cell(obj.table, c))
                 for c in _cells(obj.table, obj.order)]
+    if site == "intercalate":
+        return _Swaps(obj)
     if site == "hmap":
         return [replace(obj, hmap=_with_cell(obj.hmap, c))
                 for c in _cells(obj.hmap, obj.l.order)]
@@ -271,7 +331,7 @@ def record(report) -> list:
     return [report.axiom, report.where, list(report.witness)]
 
 
-def select(key_prefix: str, validate, opts) -> dict:
+def select(key_prefix: str, validate, opts, per_site: int = PER_SITE) -> dict:
     """Records of the options kept at one site, keyed by case key."""
     order = list(range(len(opts)))
     random.Random(f"{SEED}/{key_prefix}").shuffle(order)
@@ -279,7 +339,7 @@ def select(key_prefix: str, validate, opts) -> dict:
     for i in order[:SCAN]:
         rec = record(validate(opts[i]))
         outcome = (rec[0], rec[1])
-        if len(kept) < PER_SITE or outcome not in seen:
+        if len(kept) < per_site or outcome not in seen:
             kept[f"{key_prefix}#{i}"] = rec
             seen.add(outcome)
     return kept
@@ -291,7 +351,8 @@ def generate() -> dict:
         for inst in instances(family):
             for site in sites:
                 records.update(select(f"{family}/{inst}/{site}", validate,
-                                      site_options(family, inst, site)))
+                                      site_options(family, inst, site),
+                                      KEPT.get(family, PER_SITE)))
     return records
 
 

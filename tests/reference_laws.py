@@ -2,10 +2,12 @@
 
 ``validate_group_groupoid`` stops at ``ker-commute`` and ``validate_dgg`` at
 ``compat-eps-eps``: the laws below follow from the checks before them (see
-"Implied laws" in ``docs/format.md``).  This module keeps one exhaustive
-scan of each, with its tag, scan order and witness, so the tests can check
-the proofs on every structure they build:
+"Implied laws" in ``docs/format.md``), as associativity over every middle
+follows from associativity over a generating set.  This module keeps one
+exhaustive scan of each, with its tag, scan order and witness, so the tests
+can check the proofs on every structure they build:
 
+* :func:`associativity`: ``associativity`` of a table over every triple;
 * :func:`gg_laws`: ``comp-agree``, ``comp-endpoint``, ``comp-assoc``,
   ``comp-identity``, ``comp-inverse`` and ``interchange`` of one
   group-groupoid;
@@ -28,6 +30,18 @@ from ggx.groupoids import GroupGroupoid, inverse_map
 from ggx.groups import SCAN_CHUNK, index_dtype
 from ggx.report import VALID, ValidationReport, fail, first_violation, nested
 from ggx.xmod import XModGG
+
+
+def associativity(t) -> ValidationReport:
+    """``(i+j)+k`` against ``i+(j+k)`` over every triple of the table ``t``,
+    one row ``i`` at a time: the first violation in row-major order."""
+    for i, row in enumerate(t):
+        bad = np.argwhere(t[row] != row[t])
+        if len(bad):
+            j, k = (int(v) for v in bad[0])
+            return fail("associativity", (i, j, k),
+                        f"({i}+{j})+{k} != {i}+({j}+{k})")
+    return VALID
 
 
 def entries(m, x, y):

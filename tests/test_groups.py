@@ -20,6 +20,7 @@ from ggx.groups import (SCAN_CHUNK, FiniteGroup, GroupAction,
                         validate_action, validate_group,
                         validate_split_extension)
 from ggx.report import DomainMismatchError, GgxError
+from gen_witnesses import intercalates, loop_bases, swapped
 from reference_laws import entries
 
 
@@ -99,6 +100,67 @@ def test_associativity_scan_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, peak
+
+
+@pytest.fixture
+def middles(monkeypatch):
+    """The ``(order, middles)`` of every associativity scan that
+    ``validate_group`` runs."""
+    calls = []
+    scan = ggx.groups.scan_associativity
+
+    def record(t, mids):
+        calls.append((len(t), mids))
+        return scan(t, mids)
+
+    monkeypatch.setattr(ggx.groups, "scan_associativity", record)
+    return calls
+
+
+def unchecked(g: FiniteGroup) -> FiniteGroup:
+    """An equal group that does not hold a report yet."""
+    return FiniteGroup(g.name, g.elements, g.table)
+
+
+def scanned_over_generators(g: FiniteGroup, calls) -> bool:
+    """Whether ``calls`` is one scan of ``g`` with at most
+    ``floor(log2 |g|) + 1`` middles listed."""
+    [(n, mids)] = calls
+    return n == g.order and not isinstance(mids, slice) and \
+        len(mids) <= int(np.log2(n)) + 1
+
+
+def test_corpus_tables_scan_every_middle_only_in_one_block(corpus, middles):
+    groups = set()
+    for xm in corpus:
+        d = theta(xm)
+        groups.update((xm.g.arrows, xm.g.objects, xm.h.arrows, xm.h.objects,
+                       d.s, d.v))
+    # the bound-4 enumeration stops at 16 squares; catalog entries go past
+    small = [g for g in groups if g.order ** 2 <= SCAN_CHUNK]
+    assert max(g.order for g in small) == 16 and len(small) >= 40
+    for g in groups:
+        middles.clear()
+        assert validate_group(unchecked(g)).ok
+        if g in small:
+            assert middles == [(g.order, slice(None))], g
+        else:
+            assert scanned_over_generators(g, middles), (g, middles)
+
+
+def test_large_tables_scan_a_generating_set(large_squares, middles):
+    for name, g in large_squares.items():
+        middles.clear()
+        assert validate_group(unchecked(g)).ok
+        assert scanned_over_generators(g, middles), (name, middles)
+
+
+def test_a_failing_large_table_is_rescanned_whole(middles):
+    g = loop_bases()["z2^5"]
+    loop = swapped(g, intercalates(g)[0])
+    assert validate_group(loop).axiom == "associativity"
+    (_, gens), last = middles
+    assert not isinstance(gens, slice) and last == (32, slice(None))
 
 
 def test_semidirect_z3_z2_is_nonabelian_of_order_6():

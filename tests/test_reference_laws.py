@@ -3,7 +3,9 @@
 The validators stop at the checks that imply the laws of
 ``reference_laws``; these tests show, in both directions, that the oracle
 is exactly as strong as what replaced it, and that it passes on every
-catalog structure."""
+catalog structure.  Likewise ``validate_group`` decides associativity of a
+large table over a generating set, and gives the verdict and first
+witness of the whole-table scan."""
 
 import functools
 
@@ -15,9 +17,10 @@ from ggx.dgg import DoubleGroupGroupoid, validate_dgg
 from ggx.enumeration import all_gg_structures, all_homs, base_groups
 from ggx.equiv import theta
 from ggx.groupoids import GroupGroupoid, validate_group_groupoid
-from ggx.groups import is_injective
+from ggx.groups import SCAN_CHUNK, is_injective, validate_group
 from ggx.xmod import XModGG
-from reference_laws import dgg_laws, gg_laws, oracle
+from gen_witnesses import intercalates, loop_bases, swapped
+from reference_laws import associativity, dgg_laws, gg_laws, oracle
 
 BOUND = 8
 
@@ -91,3 +94,29 @@ def test_oracle_passes_on_every_catalog_structure(catalog_entries):
             rep = dgg_laws(theta(obj))
             assert rep.ok, (f"theta({name})", rep.describe())
     assert checked >= 20
+
+
+def test_large_loops_get_the_verdict_and_witness_of_the_whole_scan():
+    # loops past one block of the scan: about 25 intercalate swaps of each
+    # group table, spread over the intercalates in lexicographic order
+    checked = 0
+    for name, g in loop_bases().items():
+        assert g.order ** 2 > SCAN_CHUNK
+        cells = intercalates(g)
+        for cell in cells[::-(-len(cells) // 25)]:
+            loop = swapped(g, cell)
+            t = loop.table
+            want = tuple(int(v) for v in np.argwhere(t[t] != t[:, t])[0])
+            ref, rep = associativity(t), validate_group(loop)
+            assert ref.witness == want
+            assert (rep.axiom, rep.witness) == ("associativity", want), \
+                (name, cell.tolist(), rep.describe())
+            checked += 1
+    assert checked >= 100
+
+
+def test_accepted_large_groups_pass_the_whole_table_scan(large_squares):
+    for name, g in large_squares.items():
+        assert validate_group(g).ok, name
+        rep = associativity(g.table)
+        assert rep.ok, (name, rep.describe())
