@@ -7,7 +7,9 @@ component well formed, so the validators get past the group and hom checks
 and report on the deeper axioms:
 
 * a structure map, boundary, action or comparison-map component replaced
-  by another valid homomorphism or action between the same groups;
+  by another valid homomorphism or action between the same groups, also
+  in the codomain of a comparison morphism, so that every morphism law
+  gets a failing input;
 * one entry of a group table or of the pairing table of a crossed square
   changed;
 * an intercalate of a group table of order 32 to 72 swapped (a 2x2
@@ -213,7 +215,8 @@ def _comparisons(roundtrip, sources):
 
 
 # family -> (validator, instances, sites); a site is a dotted field path
-# into the instance, "table" / "hmap" for single-entry changes,
+# into the instance, "table" / "hmap" (or a path ending in "hmap") for
+# single-entry changes,
 # "intercalate" for intercalate swaps, or "self" for the instance unchanged
 FAMILIES = {
     "group": (validate_group, lambda: {
@@ -245,17 +248,19 @@ FAMILIES = {
     "gamma-theta": (validate_xmod_gg_morphism,
                     lambda: _comparisons(roundtrip_gamma_theta, _xmods),
                     ("f.on_arrows", "f.on_objects", "g.on_arrows",
-                     "g.on_objects")),
+                     "g.on_objects", "codomain.boundary_arrows")),
     "eta-delta": (validate_xmod_gg_morphism,
                   lambda: _comparisons(roundtrip_eta_delta, _xmods),
                   ("f.on_arrows", "f.on_objects", "g.on_arrows",
                    "g.on_objects")),
     "theta-gamma": (validate_dgg_morphism,
                     lambda: _comparisons(roundtrip_theta_gamma, _dggs),
-                    ("fs", "fh", "fv", "fp")),
+                    ("fs", "fh", "fv", "fp",
+                     *(f"codomain.{name}" for name in DGG_MAPS))),
     "delta-eta": (validate_xsq_morphism,
                   lambda: _comparisons(roundtrip_delta_eta, _xsqs),
-                  ("f_l", "f_m", "f_n", "f_p")),
+                  ("f_l", "f_m", "f_n", "f_p", "codomain.act_p_on_m",
+                   "codomain.hmap")),
 }
 
 
@@ -304,9 +309,11 @@ def options(obj, site) -> list:
                 for c in _cells(obj.table, obj.order)]
     if site == "intercalate":
         return _Swaps(obj)
-    if site == "hmap":
-        return [replace(obj, hmap=_with_cell(obj.hmap, c))
-                for c in _cells(obj.hmap, obj.l.order)]
+    head, _, last = site.rpartition(".")
+    if last == "hmap":
+        xs = _get(obj, head) if head else obj
+        return [_set(obj, site, _with_cell(xs.hmap, c))
+                for c in _cells(xs.hmap, xs.l.order)]
     cur = _get(obj, site)
     if isinstance(cur, GroupAction):
         found = _actions(cur.actor, cur.target)
