@@ -27,11 +27,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import (FiniteGroup, GroupHom, compose, is_injective,
-                     is_surjective, validate_hom)
+from .groups import FiniteGroup, GroupHom
 from .groupoids import (GroupGroupoid, compose_arrows, groupoid_inverse,
                         validate_group_groupoid)
-from .report import (VALID, NotComposableError, ValidationReport, fail,
+from .morphism import Component, square, validate
+from .report import (NotComposableError, ValidationReport, fail,
                      first_violation, nested)
 from .xmod import XModGroups
 
@@ -181,52 +181,20 @@ class DGGMorphism:
     fv: GroupHom
     fp: GroupHom
 
-    @staticmethod
-    def identity(d: DoubleGroupGroupoid) -> "DGGMorphism":
-        return DGGMorphism(d, d, GroupHom.identity(d.s), GroupHom.identity(d.h),
-                           GroupHom.identity(d.v), GroupHom.identity(d.p))
+    COMPONENTS = tuple(Component(f"f{x}", f"f{x}", x) for x in "shvp")
+    # (structure map, its pre-component, its post-component), each over the
+    # domain of the structure map
+    SCANS = tuple((square(*law),) for law in (
+        ("d0h", "fs", "fh"), ("d1h", "fs", "fh"),
+        ("d0v", "fs", "fv"), ("d1v", "fs", "fv"),
+        ("d0H", "fh", "fp"), ("d1H", "fh", "fp"),
+        ("d0V", "fv", "fp"), ("d1V", "fv", "fp"),
+        ("epsh", "fh", "fs"), ("epsv", "fv", "fs"),
+        ("epsH", "fp", "fh"), ("epsV", "fp", "fv")))
 
 
 def validate_dgg_morphism(m: DGGMorphism) -> ValidationReport:
-    comps = ((m.fs, m.domain.s, m.codomain.s, "fs"),
-             (m.fh, m.domain.h, m.codomain.h, "fh"),
-             (m.fv, m.domain.v, m.codomain.v, "fv"),
-             (m.fp, m.domain.p, m.codomain.p, "fp"))
-    for f, dom, cod, where in comps:
-        if f.domain != dom or f.codomain != cod:
-            return fail("malformed", (), f"{where} is wired to the wrong groups")
-        rep = validate_hom(f)
-        if not rep.ok:
-            return nested(where, rep)
-    a, b = m.domain, m.codomain
-    # (structure map, its pre-component, its post-component), scanned in
-    # this order, each over the domain of the structure map
-    squares = (("d0h", m.fs, m.fh), ("d1h", m.fs, m.fh),
-               ("d0v", m.fs, m.fv), ("d1v", m.fs, m.fv),
-               ("d0H", m.fh, m.fp), ("d1H", m.fh, m.fp),
-               ("d0V", m.fv, m.fp), ("d1V", m.fv, m.fp),
-               ("epsh", m.fh, m.fs), ("epsv", m.fv, m.fs),
-               ("epsH", m.fp, m.fh), ("epsV", m.fp, m.fv))
-    for name, pre, post in squares:
-        rep = first_violation(
-            lambda x: fail(f"square-{name}", (x,), f"{name} does not commute"),
-            post.map[getattr(a, name).map],
-            getattr(b, name).map[pre.map])
-        if not rep.ok:
-            return rep
-    return VALID
-
-
-def dgg_morphism_compose(m1: DGGMorphism, m2: DGGMorphism) -> DGGMorphism:
-    return DGGMorphism(m1.domain, m2.codomain,
-                       compose(m1.fs, m2.fs), compose(m1.fh, m2.fh),
-                       compose(m1.fv, m2.fv), compose(m1.fp, m2.fp))
-
-
-def is_dgg_isomorphism(m: DGGMorphism) -> bool:
-    return (validate_dgg_morphism(m).ok
-            and all(is_injective(f) and is_surjective(f)
-                    for f in (m.fs, m.fh, m.fv, m.fp)))
+    return validate(m)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ import numpy as np
 from .groups import (FiniteGroup, GroupAction, GroupHom, cyclic, dihedral_8,
                      generating_sequence, generating_words, is_hom,
                      is_injective, klein_four, quaternion_8, symmetric_3)
-from .groupoids import (GGMorphism, GroupGroupoid, validate_group_groupoid,
-                        validate_morphism_squares)
+from .groupoids import GGMorphism, GroupGroupoid, validate_group_groupoid
+from .morphism import check_laws
 from .report import BoundExceededError, GgxError
 from .xmod import (XModGG, XModGroups, arrow_level,
                    validate_action_compatibility, validate_xmod_groups)
@@ -170,7 +170,7 @@ def _boundary_candidates(ggG: GroupGroupoid, ggH: GroupGroupoid, homs):
     return [(b1, b0)
             for b1 in homs(ggG.arrows, ggH.arrows)
             for b0 in homs0
-            if validate_morphism_squares(GGMorphism(ggG, ggH, b1, b0)).ok]
+            if check_laws(GGMorphism(ggG, ggH, b1, b0)).ok]
 
 
 def all_xmod_gg(max_order: int | None = None):

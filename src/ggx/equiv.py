@@ -28,10 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (FiniteGroup, GroupAction, GroupHom, compose,
-                     conjugation_through, hom_restrict, is_injective,
-                     is_surjective, kernel, pair_map, read_back, sd_index)
+                     conjugation_through, hom_restrict, kernel, pair_map,
+                     read_back, sd_index)
 from .groupoids import (GGMorphism, GroupGroupoid, gg_from_xmod,
                         object_action, splitting_map)
+from .morphism import bijective, identity
 from .report import ValidationReport
 from .dgg import DGGMorphism, DoubleGroupGroupoid, validate_dgg_morphism
 from .xmod import (XModGG, XModGGMorphism, XModGroups, arrow_level,
@@ -51,13 +52,11 @@ class RoundTrip:
         return "isomorphism verified" if self.ok else "isomorphism FAILED"
 
 
-def _verified(m, rep: ValidationReport, components) -> RoundTrip:
-    """The round trip of the comparison ``m``, whose validator returned
-    ``rep``: an isomorphism when ``rep`` is valid and every component map
-    is a bijection."""
-    ok = rep.ok and all(is_injective(f) and is_surjective(f)
-                        for f in components)
-    return RoundTrip(ok, m, rep)
+def _verified(m, validate) -> RoundTrip:
+    """The round trip of the comparison ``m``: an isomorphism when
+    ``validate`` accepts it and every component map is a bijection."""
+    rep = validate(m)
+    return RoundTrip(rep.ok and bijective(m), m, rep)
 
 
 def _into_kernel(a: FiniteGroup, b: FiniteGroup, f: GroupHom) -> np.ndarray:
@@ -148,8 +147,7 @@ def roundtrip_theta_gamma(d: DoubleGroupGroupoid) -> RoundTrip:
                                        d.epsV.map[None, :]].ravel())
     m = DGGMorphism(dd, d, fs, GroupHom.identity(d.h), fv,
                     GroupHom.identity(d.p))
-    return _verified(m, validate_dgg_morphism(m),
-                     (m.fs, m.fh, m.fv, m.fp))
+    return _verified(m, validate_dgg_morphism)
 
 
 def roundtrip_gamma_theta(xm: XModGG) -> RoundTrip:
@@ -167,12 +165,8 @@ def roundtrip_gamma_theta(xm: XModGG) -> RoundTrip:
                             _into_kernel(G.arrows, H.arrows, dd.d0h)),
                    GroupHom(G.objects, xm2.g.objects,
                             _into_kernel(G.objects, H.objects, dd.d0V)))
-    g = GGMorphism(xm.h, xm2.h,
-                   GroupHom.identity(xm.h.arrows),
-                   GroupHom.identity(xm.h.objects))
-    m = XModGGMorphism(xm, xm2, f, g)
-    return _verified(m, validate_xmod_gg_morphism(m),
-                     (f.on_arrows, f.on_objects, g.on_arrows, g.on_objects))
+    m = XModGGMorphism(xm, xm2, f, identity(GGMorphism, H))
+    return _verified(m, validate_xmod_gg_morphism)
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +242,7 @@ def roundtrip_eta_delta(xm: XModGG) -> RoundTrip:
                    GroupHom(H.arrows, xm2.h.arrows, splitting_map(H)),
                    GroupHom.identity(H.objects))
     m = XModGGMorphism(xm, xm2, f, g)
-    return _verified(m, validate_xmod_gg_morphism(m),
-                     (f.on_arrows, f.on_objects, g.on_arrows, g.on_objects))
+    return _verified(m, validate_xmod_gg_morphism)
 
 
 def roundtrip_delta_eta(xs: CrossedSquare) -> RoundTrip:
@@ -262,5 +255,4 @@ def roundtrip_delta_eta(xs: CrossedSquare) -> RoundTrip:
     fm = GroupHom(xs.m, xs2.m, _into_kernel(xs.m, xs.p, xm.h.d0))
     m = XSqMorphism(xs, xs2, fl, fm,
                     GroupHom.identity(xs.n), GroupHom.identity(xs.p))
-    return _verified(m, validate_xsq_morphism(m),
-                     (m.f_l, m.f_m, m.f_n, m.f_p))
+    return _verified(m, validate_xsq_morphism)

@@ -29,6 +29,7 @@ from .groups import (FiniteGroup, GroupAction, GroupHom, SplitExtension,
                      read_back, sd_index, semidirect_product, split_maps,
                      trivial_group, validate_group, validate_hom,
                      validate_split_extension)
+from .morphism import Component, square, validate
 from .report import (VALID, NotComposableError, ValidationReport, fail,
                      first_violation, nested)
 
@@ -171,55 +172,18 @@ class GGMorphism:
     on_arrows: GroupHom
     on_objects: GroupHom
 
-    @staticmethod
-    def identity(gg: GroupGroupoid) -> "GGMorphism":
-        return GGMorphism(gg, gg, GroupHom.identity(gg.arrows),
-                          GroupHom.identity(gg.objects))
+    COMPONENTS = (Component("on_arrows", "on-arrows", "arrows"),
+                  Component("on_objects", "on-objects", "objects"))
+    # per arrow: d0, then d1; then eps
+    SCANS = (tuple(square(s, "on_arrows", "on_objects",
+                          f"{s} does not commute with the morphism")
+                   for s in ("d0", "d1")),
+             (square("eps", "on_objects", "on_arrows",
+                     "eps does not commute with the morphism"),))
 
 
 def validate_gg_morphism(m: GGMorphism) -> ValidationReport:
-    if (m.on_arrows.domain != m.domain.arrows
-            or m.on_arrows.codomain != m.codomain.arrows
-            or m.on_objects.domain != m.domain.objects
-            or m.on_objects.codomain != m.codomain.objects):
-        return fail("malformed", (), "component maps are wired to the wrong groups")
-    for f, where in ((m.on_arrows, "on-arrows"), (m.on_objects, "on-objects")):
-        rep = validate_hom(f)
-        if not rep.ok:
-            return nested(where, rep)
-    return validate_morphism_squares(m)
-
-
-def validate_morphism_squares(m: GGMorphism) -> ValidationReport:
-    """The axiom half of :func:`validate_gg_morphism`, for component maps
-    already known to be homomorphisms between the right groups: ``d0``,
-    ``d1`` (per arrow) and then ``eps`` commute with the morphism."""
-    f1, f0 = m.on_arrows.map, m.on_objects.map
-    dom, cod = m.domain, m.codomain
-    if not (rep := first_violation(
-            lambda a, k: fail(("square-d0", "square-d1")[k], (a,),
-                              f"d{k} does not commute with the morphism"),
-            np.array([cod.d0.map[f1], cod.d1.map[f1]]).T,
-            np.array([f0[dom.d0.map], f0[dom.d1.map]]).T)).ok:
-        return rep
-    return first_violation(
-        lambda x: fail("square-eps", (x,),
-                       "eps does not commute with the morphism"),
-        f1[dom.eps.map], cod.eps.map[f0])
-
-
-def gg_morphism_compose(m1: GGMorphism, m2: GGMorphism) -> GGMorphism:
-    """``m1`` followed by ``m2``."""
-    return GGMorphism(m1.domain, m2.codomain,
-                      compose(m1.on_arrows, m2.on_arrows),
-                      compose(m1.on_objects, m2.on_objects))
-
-
-def is_gg_isomorphism(m: GGMorphism) -> bool:
-    from .groups import is_injective, is_surjective
-    return (validate_gg_morphism(m).ok
-            and is_injective(m.on_arrows) and is_surjective(m.on_arrows)
-            and is_injective(m.on_objects) and is_surjective(m.on_objects))
+    return validate(m)
 
 
 # ---------------------------------------------------------------------------
@@ -320,17 +284,12 @@ def validate_split_extension_gg(ext: SplitExtensionGG) -> ValidationReport:
         rep = validate_gg_morphism(m)
         if not rep.ok:
             return nested(where, rep)
-    lvl1 = SplitExtension(ext.g.arrows, ext.k.arrows, ext.h.arrows,
-                          ext.iota.on_arrows, ext.p.on_arrows, ext.s.on_arrows)
-    rep = validate_split_extension(lvl1)
-    if not rep.ok:
-        return nested("level-arrows", rep)
-    lvl0 = SplitExtension(ext.g.objects, ext.k.objects, ext.h.objects,
-                          ext.iota.on_objects, ext.p.on_objects,
-                          ext.s.on_objects)
-    rep = validate_split_extension(lvl0)
-    if not rep.ok:
-        return nested("level-objects", rep)
+    for level in ("arrows", "objects"):
+        rep = validate_split_extension(SplitExtension(
+            *(getattr(gg, level) for gg in (ext.g, ext.k, ext.h)),
+            *(getattr(m, f"on_{level}") for m in (ext.iota, ext.p, ext.s))))
+        if not rep.ok:
+            return nested(f"level-{level}", rep)
     return VALID
 
 

@@ -105,8 +105,11 @@ def first_violation(report: Callable[..., ValidationReport], lhs,
     bad = np.asarray(lhs) if rhs is None else np.not_equal(lhs, rhs)
     if not np.count_nonzero(bad):
         return VALID
-    index = np.unravel_index(int(bad.argmax()), bad.shape)
-    return report(*(int(i) for i in index))
+    flat, index = int(bad.argmax()), []
+    for n in reversed(bad.shape):               # np.unravel_index, in ints
+        flat, i = divmod(flat, n)
+        index.append(i)
+    return report(*reversed(index))
 
 
 def nested(where: str, inner: ValidationReport) -> ValidationReport:

@@ -35,10 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import (FiniteGroup, GroupAction, GroupHom, IndexArrays, compose,
-                     conjugates, conjugation_through, hom_restrict,
-                     is_injective, is_surjective, members, read_back,
-                     require, subgroup, validate_action, validate_group,
-                     validate_hom)
+                     conjugates, conjugation_through, hom_restrict, members,
+                     read_back, require, subgroup, validate_action,
+                     validate_group, validate_hom)
+from .morphism import Component, Law, square, validate
 from .report import ValidationReport, fail, first_violation, nested
 from .xmod import XModGroups, validate_xmod_groups
 
@@ -192,76 +192,24 @@ class XSqMorphism:
     f_n: GroupHom
     f_p: GroupHom
 
-    @staticmethod
-    def identity(xs: CrossedSquare) -> "XSqMorphism":
-        return XSqMorphism(xs, xs, GroupHom.identity(xs.l),
-                           GroupHom.identity(xs.m), GroupHom.identity(xs.n),
-                           GroupHom.identity(xs.p))
+    COMPONENTS = tuple(Component(f"f_{x}", f"f_{x}", x) for x in "lmnp")
+    SCANS = (
+        # per l: lam, then lam'
+        (square("lam", "f_l", "f_m"),
+         square("lam_prime", "f_l", "f_n", "lam' does not commute",
+                tag="square-lam-prime")),
+        (square("mu", "f_m", "f_p"),),
+        (square("nu", "f_n", "f_p"),),
+        # per p: the action on L, then on M, then on N
+        tuple(Law(f"equivariance-{x}", f"act_p_on_{x}.perms", f"f_{x}",
+                  "f_p", f"f_{x}", f"P-action on {x.upper()}")
+              for x in "lmn"),
+        (Law("pairing", "hmap", "f_l", "f_m", "f_n",
+             "f_l(h(m,n)) != h(f_m(m), f_n(n))"),))
 
 
 def validate_xsq_morphism(m: XSqMorphism) -> ValidationReport:
-    comps = ((m.f_l, m.domain.l, m.codomain.l, "f_l"),
-             (m.f_m, m.domain.m, m.codomain.m, "f_m"),
-             (m.f_n, m.domain.n, m.codomain.n, "f_n"),
-             (m.f_p, m.domain.p, m.codomain.p, "f_p"))
-    for f, dom, cod, where in comps:
-        if f.domain != dom or f.codomain != cod:
-            return fail("malformed", (), f"{where} is wired to the wrong groups")
-        rep = validate_hom(f)
-        if not rep.ok:
-            return nested(where, rep)
-    a, b = m.domain, m.codomain
-    fl, fm, fn, fp = m.f_l.map, m.f_m.map, m.f_n.map, m.f_p.map
-    # per l: lam, then lam'
-    if not (rep := first_violation(
-            lambda l, k: fail(("square-lam", "square-lam-prime")[k], (l,),
-                              ("lam does not commute",
-                               "lam' does not commute")[k]),
-            np.array([fm[a.lam.map], fn[a.lam_prime.map]]).T,
-            np.array([b.lam.map[fl], b.lam_prime.map[fl]]).T)).ok:
-        return rep
-    if not (rep := first_violation(
-            lambda x: fail("square-mu", (x,), "mu does not commute"),
-            fp[a.mu.map], b.mu.map[fm])).ok:
-        return rep
-    if not (rep := first_violation(
-            lambda x: fail("square-nu", (x,), "nu does not commute"),
-            fp[a.nu.map], b.nu.map[fn])).ok:
-        return rep
-    # per p: the action on L, then on M, then on N
-    def moved(f, dom_act, cod_act):
-        return f[dom_act.perms] != cod_act.perms[fp[:, None], f[None, :]]
-
-    nl, nmm = a.l.order, a.m.order
-
-    def equivariance(p, j):
-        if j < nl:
-            return fail("equivariance-l", (p, j), "P-action on L")
-        if j < nl + nmm:
-            return fail("equivariance-m", (p, j - nl), "P-action on M")
-        return fail("equivariance-n", (p, j - nl - nmm), "P-action on N")
-
-    if not (rep := first_violation(equivariance, np.concatenate(
-            [moved(fl, a.act_p_on_l, b.act_p_on_l),
-             moved(fm, a.act_p_on_m, b.act_p_on_m),
-             moved(fn, a.act_p_on_n, b.act_p_on_n)], axis=1))).ok:
-        return rep
-    return first_violation(
-        lambda x, y: fail("pairing", (x, y),
-                          "f_l(h(m,n)) != h(f_m(m), f_n(n))"),
-        fl[a.hmap], b.hmap[fm[:, None], fn[None, :]])
-
-
-def xsq_morphism_compose(m1: XSqMorphism, m2: XSqMorphism) -> XSqMorphism:
-    return XSqMorphism(m1.domain, m2.codomain,
-                       compose(m1.f_l, m2.f_l), compose(m1.f_m, m2.f_m),
-                       compose(m1.f_n, m2.f_n), compose(m1.f_p, m2.f_p))
-
-
-def is_xsq_isomorphism(m: XSqMorphism) -> bool:
-    return (validate_xsq_morphism(m).ok
-            and all(is_injective(f) and is_surjective(f)
-                    for f in (m.f_l, m.f_m, m.f_n, m.f_p)))
+    return validate(m)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from ggx.dgg import (DGGMorphism, SpecialSquare, comp_h, comp_v, inv_h,
 from ggx.groups import (GroupAction, GroupHom, cyclic, negation_action,
                         symmetric_3)
 from ggx.groupoids import discrete_gg, pair_gg
+from ggx.morphism import identity
 from ggx.report import NotComposableError
 from ggx.xmod import XModGroups, identity_xmod, pair_xmod
 from ggx.equiv import theta
@@ -126,7 +127,7 @@ def test_kernel_conjugation_depends_only_on_target_identity():
 
 def test_dgg_morphism_identity():
     d = trivial_dgg(pair_gg(cyclic(2)))
-    assert validate_dgg_morphism(DGGMorphism.identity(d)).ok
+    assert validate_dgg_morphism(identity(DGGMorphism, d)).ok
 
 
 # ---------------------------------------------------------------------------

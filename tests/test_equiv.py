@@ -4,8 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from ggx.dgg import (DGGMorphism, comp_h, comp_v, is_dgg_isomorphism,
-                     trivial_dgg, validate_dgg, validate_dgg_morphism)
+from ggx.dgg import (DGGMorphism, comp_h, comp_v, trivial_dgg, validate_dgg,
+                     validate_dgg_morphism)
 from ggx.equiv import (delta, eta, gamma, roundtrip_delta_eta,
                        roundtrip_eta_delta, roundtrip_gamma_theta,
                        roundtrip_theta_gamma, theta, theta_morphism)
@@ -13,9 +13,9 @@ from ggx.groups import (GroupAction, GroupHom, cyclic, kernel,
                         negation_action, symmetric_3)
 from ggx.groupoids import (GroupGroupoid, compose_arrows, discrete_gg,
                            ker_d0, pair_gg)
+from ggx.morphism import compose, identity, is_isomorphism
 from ggx.xmod import (XModGGMorphism, XModGroups, identity_xmod,
-                      pair_xmod, validate_xmod_gg, xmod_gg_morphism_compose,
-                      zero_xmod)
+                      pair_xmod, validate_xmod_gg, zero_xmod)
 from ggx.xsq import validate_xsq
 from ggx.catalog import catalog_build
 
@@ -41,7 +41,7 @@ def test_theta_of_zero_xmod_matches_trivial_pattern():
     fv = GroupHom(d.v, t.v, tuple(range(d.v.order)))
     m = DGGMorphism(d, t, fs, GroupHom.identity(t.h), fv,
                     GroupHom.identity(t.p))
-    assert is_dgg_isomorphism(m)
+    assert is_isomorphism(m)
 
 
 def test_theta_composition_displays():
@@ -239,7 +239,7 @@ def test_delta_eta_comparison_lands_in_rebuilt_kernel():
 
 def test_theta_on_identity_morphism_is_identity():
     xm = _xm_inv_pair()
-    m = theta_morphism(XModGGMorphism.identity(xm))
+    m = theta_morphism(identity(XModGGMorphism, xm))
     assert validate_dgg_morphism(m).ok
     assert m.fs.map.tolist() == list(range(m.fs.domain.order))
     assert m.fp.map.tolist() == list(range(m.fp.domain.order))
@@ -248,15 +248,14 @@ def test_theta_on_identity_morphism_is_identity():
 def test_theta_preserves_composition():
     # two genuinely different comparison morphisms chained: the functor of
     # the composite equals the composite of the functors
-    from ggx.dgg import dgg_morphism_compose
     xm = identity_xmod(discrete_gg(cyclic(2)))
     t1 = roundtrip_gamma_theta(xm).morphism        # xm -> xm2
     xm2 = t1.codomain
     t2 = roundtrip_gamma_theta(xm2).morphism       # xm2 -> xm3
     assert validate_dgg_morphism(theta_morphism(t1)).ok
     assert validate_dgg_morphism(theta_morphism(t2)).ok
-    chained = theta_morphism(xmod_gg_morphism_compose(t1, t2))
-    stepwise = dgg_morphism_compose(theta_morphism(t1), theta_morphism(t2))
+    chained = theta_morphism(compose(t1, t2))
+    stepwise = compose(theta_morphism(t1), theta_morphism(t2))
     assert np.array_equal(chained.fs.map, stepwise.fs.map)
     assert np.array_equal(chained.fh.map, stepwise.fh.map)
     assert np.array_equal(chained.fv.map, stepwise.fv.map)
@@ -268,8 +267,8 @@ def test_morphism_composition_is_associative():
     t1 = roundtrip_gamma_theta(xm).morphism
     t2 = roundtrip_gamma_theta(t1.codomain).morphism
     t3 = roundtrip_gamma_theta(t2.codomain).morphism
-    left = xmod_gg_morphism_compose(xmod_gg_morphism_compose(t1, t2), t3)
-    right = xmod_gg_morphism_compose(t1, xmod_gg_morphism_compose(t2, t3))
+    left = compose(compose(t1, t2), t3)
+    right = compose(t1, compose(t2, t3))
     assert np.array_equal(left.f.on_arrows.map, right.f.on_arrows.map)
     assert np.array_equal(left.g.on_arrows.map, right.g.on_arrows.map)
     from ggx.xmod import validate_xmod_gg_morphism

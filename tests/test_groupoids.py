@@ -11,11 +11,11 @@ from ggx.groups import (SCAN_CHUNK, GroupAction, GroupHom,
                         klein_four, negation_action, symmetric_3)
 from ggx.groupoids import (GGMorphism, GroupGroupoid, compose_arrows, costar,
                            discrete_gg, gg_conjugation_extension,
-                           gg_from_xmod, gg_morphism_compose, gg_semidirect,
-                           groupoid_inverse, is_gg_isomorphism, ker_d0,
-                           ker_d1, pair_gg, splitting_iso, star,
+                           gg_from_xmod, gg_semidirect, groupoid_inverse,
+                           ker_d0, ker_d1, pair_gg, splitting_iso, star,
                            validate_gg_morphism, validate_group_groupoid,
                            validate_split_extension_gg, xmod_from_gg)
+from ggx.morphism import compose, identity, is_isomorphism, validate
 from ggx.report import NotComposableError
 from ggx.xmod import XModGroups, validate_xmod_groups
 from ggx.enumeration import all_gg_structures
@@ -174,7 +174,7 @@ def test_roundtrip_isomorphism_on_examples():
                                        GroupAction.trivial(cyclic(2),
                                                            cyclic(2))))):
         iso = splitting_iso(gg)
-        assert is_gg_isomorphism(iso)
+        assert is_isomorphism(iso)
 
 
 def test_roundtrip_isomorphism_on_enumerated_structures():
@@ -186,7 +186,7 @@ def test_roundtrip_isomorphism_on_enumerated_structures():
             if g0.order > g.order:
                 continue
             for gg in all_gg_structures(g, g0):
-                assert is_gg_isomorphism(splitting_iso(gg))
+                assert is_isomorphism(splitting_iso(gg))
                 xm = xmod_from_gg(gg)
                 assert validate_xmod_groups(xm).ok
                 seen += 1
@@ -198,7 +198,7 @@ def test_xmod_roundtrip_through_gg_on_enumerated_modules():
     # the identity: the kernel of the rebuilt source map is the pairs
     # (a, 0), so a -> position of (a, 0) with the base group untouched
     from ggx.enumeration import all_xmod_groups
-    from ggx.xmod import XModGroupsMorphism, validate_xmod_groups_morphism
+    from ggx.xmod import XModGroupsMorphism
     from ggx.groups import is_injective, is_surjective
     pairs = [(cyclic(2), cyclic(2)), (cyclic(3), cyclic(2)),
              (klein_four(), cyclic(2)), (cyclic(4), cyclic(4)),
@@ -213,7 +213,7 @@ def test_xmod_roundtrip_through_gg_on_enumerated_modules():
             f1 = GroupHom(xm.a, back.a,
                           tuple(pos[i * nb] for i in range(xm.a.order)))
             m = XModGroupsMorphism(xm, back, f1, GroupHom.identity(xm.b))
-            assert validate_xmod_groups_morphism(m).ok
+            assert validate(m).ok
             assert is_injective(f1) and is_surjective(f1)
             seen += 1
     assert seen > 10
@@ -266,9 +266,9 @@ def test_kernels_commute_elementwise():
 
 def test_gg_morphism_validation_and_composition():
     gg = pair_gg(cyclic(2))
-    ident = GGMorphism.identity(gg)
+    ident = identity(GGMorphism, gg)
     assert validate_gg_morphism(ident).ok
-    assert validate_gg_morphism(gg_morphism_compose(ident, ident)).ok
+    assert validate_gg_morphism(compose(ident, ident)).ok
     bad = GGMorphism(gg, gg, GroupHom(gg.arrows, gg.arrows, (0, 2, 1, 3)),
                      GroupHom.identity(gg.objects))
     assert not validate_gg_morphism(bad).ok

@@ -9,13 +9,13 @@ from ggx.groups import (GroupAction, GroupHom, conjugation_action, cyclic,
 from ggx.enumeration import all_actions, all_gg_structures
 from ggx.groupoids import discrete_gg, ker_d0, ker_d1, pair_gg
 from ggx.report import GgxError
+from ggx.morphism import compose, identity, validate
 from ggx.xmod import (XModGG, XModGGMorphism, XModGroups, XModGroupsMorphism,
                       arrow_level, discrete_xmod, identity_xmod,
                       inclusion_xmod, induced_actions, object_level_xmod,
                       pair_xmod, validate_action_compatibility,
                       validate_xmod_gg, validate_xmod_gg_morphism,
-                      validate_xmod_groups, validate_xmod_groups_morphism,
-                      xmod_catalog, xmod_gg_morphism_compose, zero_xmod)
+                      validate_xmod_groups, xmod_catalog, zero_xmod)
 
 
 def _xm_z2():
@@ -188,20 +188,20 @@ def test_arrow_level_valid_whenever_structure_valid(corpus_small):
 
 def test_morphism_identity_and_composition():
     xm = pair_xmod(_xm_inv())
-    ident = XModGGMorphism.identity(xm)
+    ident = identity(XModGGMorphism, xm)
     assert validate_xmod_gg_morphism(ident).ok
-    both = xmod_gg_morphism_compose(ident, ident)
+    both = compose(ident, ident)
     assert validate_xmod_gg_morphism(both).ok
 
 
 def test_groups_morphism_validation():
     xm = _xm_z2()
-    ident = XModGroupsMorphism.identity(xm)
-    assert validate_xmod_groups_morphism(ident).ok
+    ident = identity(XModGroupsMorphism, xm)
+    assert validate(ident).ok
     z2 = cyclic(2)
     bad = XModGroupsMorphism(xm, xm, GroupHom.identity(z2),
                              GroupHom.zero(z2, z2))
-    assert not validate_xmod_groups_morphism(bad).ok
+    assert not validate(bad).ok
 
 
 def test_action_inverse_and_interchange_laws_fire():

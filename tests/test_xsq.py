@@ -11,9 +11,9 @@ from ggx.groups import (GroupAction, GroupHom, conjugation_action, cyclic,
 from ggx.groupoids import discrete_gg
 from ggx.report import GgxError
 from ggx.xmod import XModGroups, identity_xmod, pair_xmod
-from ggx.xsq import (CrossedSquare, XSqMorphism, is_xsq_isomorphism,
-                     norrie_xsq, validate_xsq, validate_xsq_morphism,
-                     xsq_morphism_compose)
+from ggx.morphism import compose, identity, is_isomorphism
+from ggx.xsq import (CrossedSquare, XSqMorphism, norrie_xsq, validate_xsq,
+                     validate_xsq_morphism)
 from ggx.catalog import catalog_build
 
 
@@ -116,10 +116,10 @@ def test_the_two_diagonals_agree():
 
 def test_morphism_identity_and_composition_preserve_validity():
     xs = catalog_build("norrie-s3")
-    ident = XSqMorphism.identity(xs)
+    ident = identity(XSqMorphism, xs)
     assert validate_xsq_morphism(ident).ok
-    assert is_xsq_isomorphism(ident)
-    assert validate_xsq_morphism(xsq_morphism_compose(ident, ident)).ok
+    assert is_isomorphism(ident)
+    assert validate_xsq_morphism(compose(ident, ident)).ok
 
 
 def test_morphism_validator_catches_broken_pairing_compat():
