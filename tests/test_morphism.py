@@ -15,7 +15,8 @@ from ggx.groups import (GroupAction, GroupHom, cyclic, klein_four,
 from ggx.groupoids import GGMorphism, discrete_gg, pair_gg
 from ggx.morphism import compose, identity, is_isomorphism, validate
 from ggx.report import DomainMismatchError
-from ggx.xmod import XModGGMorphism, XModGroups, XModGroupsMorphism, identity_xmod
+from ggx.xmod import (XModGGMorphism, XModGroups, XModGroupsMorphism,
+                      identity_xmod)
 from ggx.xsq import CrossedSquare, XSqMorphism
 
 FORMAT_MD = os.path.join(os.path.dirname(__file__), "..", "docs", "format.md")
