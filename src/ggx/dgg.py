@@ -32,7 +32,7 @@ from .groupoids import (GroupGroupoid, compose_arrows, groupoid_inverse,
                         validate_group_groupoid)
 from .morphism import Component, square, validate
 from .report import (NotComposableError, ValidationReport, fail,
-                     first_violation, nested)
+                     first_violation, nested, once_per_value)
 from .xmod import XModGroups
 
 
@@ -57,15 +57,21 @@ class DoubleGroupGroupoid:
     d1V: GroupHom
     epsV: GroupHom
 
+    # the four group-groupoids, each built once per value; a construction
+    # that already holds one may keep it here (see equiv.theta)
+    @once_per_value
     def gg_sh(self) -> GroupGroupoid:
         return GroupGroupoid(self.s, self.h, self.d0h, self.d1h, self.epsh)
 
+    @once_per_value
     def gg_sv(self) -> GroupGroupoid:
         return GroupGroupoid(self.s, self.v, self.d0v, self.d1v, self.epsv)
 
+    @once_per_value
     def gg_hp(self) -> GroupGroupoid:
         return GroupGroupoid(self.h, self.p, self.d0H, self.d1H, self.epsH)
 
+    @once_per_value
     def gg_vp(self) -> GroupGroupoid:
         return GroupGroupoid(self.v, self.p, self.d0V, self.d1V, self.epsV)
 

@@ -10,6 +10,11 @@ Each ``roundtrip_*`` function constructs the natural comparison morphism
 explicitly and verifies that it is an isomorphism in the relevant category;
 the verifier is exhaustive, no tolerance is involved.
 
+Each functor image is derived once per input value and kept on it
+(:func:`~ggx.report.once_per_value`), as are the kernels the functors
+take, so a round trip reuses the images and kernels a caller already
+derived from the same value instead of building equal ones again.
+
 Two of the comparison maps are written with more than one sign/order
 convention in the literature, and only one variant of each typechecks:
 
@@ -33,7 +38,7 @@ from .groups import (FiniteGroup, GroupAction, GroupHom, compose,
 from .groupoids import (GGMorphism, GroupGroupoid, gg_from_xmod,
                         object_action, splitting_map)
 from .morphism import bijective, identity
-from .report import ValidationReport
+from .report import ValidationReport, keep, once_per_value
 from .dgg import DGGMorphism, DoubleGroupGroupoid, validate_dgg_morphism
 from .xmod import (XModGG, XModGGMorphism, XModGroups, arrow_level,
                    object_level_xmod, validate_xmod_gg_morphism)
@@ -70,6 +75,7 @@ def _into_kernel(a: FiniteGroup, b: FiniteGroup, f: GroupHom) -> np.ndarray:
 # theta : crossed modules over group-groupoids -> double group-groupoids
 
 
+@once_per_value
 def theta(xm: XModGG) -> DoubleGroupGroupoid:
     """Squares are the semidirect product of the arrow groups, horizontal
     edges the arrows of H, vertical edges the semidirect product of the
@@ -77,14 +83,16 @@ def theta(xm: XModGG) -> DoubleGroupGroupoid:
 
     ``d0h(a,b) = b``, ``d1h(a,b) = bdry1(a) + b``, ``epsh(b) = (0,b)``; the
     ``(S,V)`` maps act componentwise; ``d0V(x,y) = y``,
-    ``d1V(x,y) = bdry0(x) + y``, ``epsV(y) = (0,y)``.
+    ``d1V(x,y) = bdry0(x) + y``, ``epsV(y) = (0,y)``.  The image keeps
+    ``H`` and the two group-groupoids built here as its ``(H,P)``,
+    ``(S,H)`` and ``(V,P)``, so their reports are shared.
     """
     G, H = xm.g, xm.h
     sh = gg_from_xmod(arrow_level(xm))          # (S, H)
     vp = gg_from_xmod(object_level_xmod(xm))    # (V, P)
     S, V = sh.arrows, vp.arrows
     nh, np_ = H.arrows.order, H.objects.order
-    return DoubleGroupGroupoid(
+    d = DoubleGroupGroupoid(
         s=S, h=H.arrows, v=V, p=H.objects,
         d0h=sh.d0, d1h=sh.d1, epsh=sh.eps,
         d0v=GroupHom(S, V, pair_map(G.d0.map, H.d0.map, np_)),
@@ -92,6 +100,10 @@ def theta(xm: XModGG) -> DoubleGroupGroupoid:
         epsv=GroupHom(V, S, pair_map(G.eps.map, H.eps.map, nh)),
         d0H=H.d0, d1H=H.d1, epsH=H.eps,
         d0V=vp.d0, d1V=vp.d1, epsV=vp.eps)
+    keep(DoubleGroupGroupoid.gg_sh, d, sh)
+    keep(DoubleGroupGroupoid.gg_hp, d, H)
+    keep(DoubleGroupGroupoid.gg_vp, d, vp)
+    return d
 
 
 def theta_morphism(m: XModGGMorphism) -> DGGMorphism:
@@ -109,6 +121,7 @@ def theta_morphism(m: XModGGMorphism) -> DGGMorphism:
 # gamma : double group-groupoids -> crossed modules over group-groupoids
 
 
+@once_per_value
 def gamma(d: DoubleGroupGroupoid) -> XModGG:
     """The kernel construction: the first component is the group-groupoid
     ``Ker d0h`` over ``Ker d0V`` with the restricted ``(S,V)`` maps, the
@@ -173,6 +186,7 @@ def roundtrip_gamma_theta(xm: XModGG) -> RoundTrip:
 # delta : crossed modules over group-groupoids -> crossed squares
 
 
+@once_per_value
 def delta(xm: XModGG) -> CrossedSquare:
     """``L = Ker d0`` of the first arrow group, ``M = Ker d0`` of the
     second, ``N`` and ``P`` the object groups; the four maps restrict the
@@ -202,6 +216,7 @@ def delta(xm: XModGG) -> CrossedSquare:
 # eta : crossed squares -> crossed modules over group-groupoids
 
 
+@once_per_value
 def eta(xs: CrossedSquare) -> XModGG:
     """Rebuild the two group-groupoids from the columns of the square and
     act through the pairing:

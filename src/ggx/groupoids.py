@@ -31,7 +31,7 @@ from .groups import (FiniteGroup, GroupAction, GroupHom, SplitExtension,
                      validate_split_extension)
 from .morphism import Component, square, validate
 from .report import (VALID, NotComposableError, ValidationReport, fail,
-                     first_violation, nested)
+                     first_violation, nested, once_per_value)
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,9 @@ def inverse_map(gg: GroupGroupoid) -> np.ndarray:
     return tbl[tbl[em[gg.d0.map], gg.arrows.inverse], em[gg.d1.map]]
 
 
+@once_per_value
 def validate_group_groupoid(gg: GroupGroupoid) -> ValidationReport:
-    """Exhaustive check of the group-groupoid axioms.
+    """Exhaustive check of the group-groupoid axioms, kept on the value.
 
     Component problems are reported under their own location; the structural
     axioms then follow in a fixed scan order: section laws, then kernel

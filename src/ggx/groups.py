@@ -22,7 +22,11 @@ Conventions used by the whole package:
   run at most once per value: each keeps its report on the value it
   checked, as :attr:`FiniteGroup.inverse` is kept once computed.  A hom
   checks its domain and codomain, and an action its actor and target,
-  before its own laws.
+  before its own laws.  :func:`kernel` is kept on its hom the same way.
+* :func:`subgroup` and :func:`semidirect_product` keep a ``VALID`` report
+  on the group they build when the reports their inputs already hold prove
+  it a group (see "Implied laws" in ``docs/format.md``); they never run a
+  validator.
 """
 
 from __future__ import annotations
@@ -34,8 +38,8 @@ from itertools import product
 import numpy as np
 
 from .report import (VALID, BoundExceededError, DomainMismatchError,
-                     GgxError, ValidationReport, fail, first_violation, nested,
-                     once_per_value)
+                     GgxError, ValidationReport, fail, first_violation, keep,
+                     nested, once_per_value, proven)
 
 # pairs per block of the blocked scans: composable pairs of the action
 # interchange scan in xmod, pairs (i, j) of the associativity scan here;
@@ -348,7 +352,9 @@ def compose(f: GroupHom, g: GroupHom) -> GroupHom:
 def subgroup(g: FiniteGroup, indices, name: str | None = None):
     """The subgroup on ``indices``, as a group plus its inclusion hom.
 
-    Raises if the subset is not closed under the operation.
+    Raises if the subset is not closed under the operation.  A non-empty
+    closed subset of a group is a group, so the subgroup keeps a ``VALID``
+    report when ``g`` already holds one.
     """
     inside = members(g.order, indices)
     idxs = np.flatnonzero(inside)
@@ -358,6 +364,8 @@ def subgroup(g: FiniteGroup, indices, name: str | None = None):
     sub = FiniteGroup(name or f"sub[{g.name}]",
                       tuple(g.elements[i] for i in idxs),
                       np.searchsorted(idxs, sums))
+    if len(idxs) and proven(validate_group, g):
+        keep(validate_group, sub, VALID)
     return sub, GroupHom(sub, g, idxs)
 
 
@@ -375,8 +383,9 @@ def read_back(values, incl: GroupHom, message: str) -> np.ndarray:
     return out
 
 
+@once_per_value
 def kernel(f: GroupHom):
-    """Kernel subgroup of ``f`` with its inclusion."""
+    """Kernel subgroup of ``f`` with its inclusion, derived once per hom."""
     return subgroup(f.domain, np.flatnonzero(f.map == f.codomain.zero),
                     name=f"ker[{f.domain.name}]")
 
@@ -520,7 +529,10 @@ def semidirect_product(a: FiniteGroup, b: FiniteGroup, act: GroupAction,
     """The group on pairs ``(x, y)`` with ``(x,y)+(x1,y1) = (x + y.x1, y+y1)``.
 
     ``act`` must be an action of ``b`` on ``a``; the pair ``(x, y)`` has
-    index ``x * |b| + y`` and name ``"(x,y)"``.
+    index ``x * |b| + y`` and name ``"(x,y)"``.  The product of two groups
+    under an action is a group, so it keeps a ``VALID`` report when ``act``
+    already holds one, is wired to ``b`` acting on ``a``, and no two pairs
+    share a name.
     """
     nb = b.order
     I = np.arange(a.order * nb)
@@ -528,8 +540,12 @@ def semidirect_product(a: FiniteGroup, b: FiniteGroup, act: GroupAction,
     apart = a.table[ai[:, None], act.perms[bi[:, None], ai[None, :]]]
     bpart = b.table[bi[:, None], bi[None, :]]
     names = tuple(f"({x},{y})" for x in a.elements for y in b.elements)
-    return FiniteGroup(name or f"({a.name})x({b.name})", names,
-                       sd_index(nb, apart, bpart))
+    k = FiniteGroup(name or f"({a.name})x({b.name})", names,
+                    sd_index(nb, apart, bpart))
+    if proven(validate_action, act) and act.actor == b and \
+            act.target == a and len(set(names)) == len(names):
+        keep(validate_group, k, VALID)
+    return k
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup,

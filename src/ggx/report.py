@@ -5,8 +5,12 @@ callers (tests, the CLI) can inspect which axiom failed and on which
 witness.  Every axiom check goes through :func:`first_violation`, which
 reports the first violation in row-major order over the quantified
 variables, so the reported witness is deterministic.  Validators of the
-basic values (groups, homomorphisms, actions) are wrapped in
-:func:`once_per_value`, which keeps the report on the checked value.
+basic values (groups, homomorphisms, actions, group-groupoids) are wrapped
+in :func:`once_per_value`, which keeps the report on the checked value; the
+same wrapper keeps other derived values, such as a kernel or a functor
+image, on the value they are derived from.  A construction that can prove
+a report without computing it keeps it with :func:`keep`, reading only the
+reports its inputs already hold (:func:`proven`).
 """
 
 from __future__ import annotations
@@ -121,23 +125,40 @@ def nested(where: str, inner: ValidationReport) -> ValidationReport:
                             witness=inner.witness, message=inner.message)
 
 
-def once_per_value(validator: Callable[..., ValidationReport]
-                   ) -> Callable[..., ValidationReport]:
-    """Run ``validator`` at most once per instance of an immutable value.
+def once_per_value(derive: Callable):
+    """Compute ``derive(value)`` at most once per instance of an immutable
+    value.
 
-    The report is kept in the instance's ``__dict__``, the way
-    ``functools.cached_property`` keeps a derived array such as
-    :attr:`~ggx.groups.FiniteGroup.inverse`, so it lives and dies with the
-    value.  Equality and hashing read only the dataclass fields, so the
-    report never joins them.
+    The result, a report or any other derived value, is kept in the
+    instance's ``__dict__``, the way ``functools.cached_property`` keeps a
+    derived array such as :attr:`~ggx.groups.FiniteGroup.inverse`, so it
+    lives and dies with the value.  Equality and hashing read only the
+    dataclass fields, so what is kept never joins them.  The computation
+    is looked up as the wrapper's ``__wrapped__`` on every miss, so a test
+    can wrap it to count what is computed.
     """
-    key = f"_{validator.__name__}_report"
+    key = f"_{derive.__name__}"
 
-    @wraps(validator)
-    def validate(value) -> ValidationReport:
+    @wraps(derive)
+    def once(value):
         cache = value.__dict__
         if key not in cache:
-            cache[key] = validator(value)
+            cache[key] = once.__wrapped__(value)
         return cache[key]
 
-    return validate
+    once.key = key
+    return once
+
+
+def keep(once: Callable, value, derived) -> None:
+    """Keep ``derived`` on ``value`` as the result of the
+    :func:`once_per_value` function ``once``, for a construction that knows
+    it without computing it."""
+    value.__dict__[once.key] = derived
+
+
+def proven(validate: Callable, value) -> bool:
+    """Whether ``value`` already holds a passing report of the
+    :func:`once_per_value` validator ``validate``; never validates."""
+    rep = value.__dict__.get(validate.key)
+    return rep is not None and rep.ok
