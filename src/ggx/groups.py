@@ -22,11 +22,9 @@ Conventions used by the whole package:
   run at most once per value: each keeps its report on the value it
   checked, as :attr:`FiniteGroup.inverse` is kept once computed.  A hom
   checks its domain and codomain, and an action its actor and target,
-  before its own laws.  :func:`kernel` is kept on its hom the same way.
-* :func:`subgroup` and :func:`semidirect_product` keep a ``VALID`` report
-  on the group they build when the reports their inputs already hold prove
-  it a group (see "Implied laws" in ``docs/format.md``); they never run a
-  validator.
+  before its own laws.  :func:`kernel` is kept on its hom the same way,
+  and :func:`subgroup` and :func:`semidirect_product` keep ``VALID`` on
+  what they build when their inputs' reports prove it a group.
 """
 
 from __future__ import annotations
@@ -529,10 +527,10 @@ def semidirect_product(a: FiniteGroup, b: FiniteGroup, act: GroupAction,
     """The group on pairs ``(x, y)`` with ``(x,y)+(x1,y1) = (x + y.x1, y+y1)``.
 
     ``act`` must be an action of ``b`` on ``a``; the pair ``(x, y)`` has
-    index ``x * |b| + y`` and name ``"(x,y)"``.  The product of two groups
-    under an action is a group, so it keeps a ``VALID`` report when ``act``
-    already holds one, is wired to ``b`` acting on ``a``, and no two pairs
-    share a name.
+    index ``x * |b| + y`` and name ``"(x,y)"``.  It keeps a ``VALID``
+    report when ``act`` already holds one, is wired to ``b`` acting on
+    ``a``, and no two pairs share a name (see "Implied laws" in
+    ``docs/format.md``).
     """
     nb = b.order
     I = np.arange(a.order * nb)

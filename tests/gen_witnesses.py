@@ -102,17 +102,17 @@ def _no_identity():
         "q3", [[(j - i) % 3 for j in range(3)] for i in range(3)])
 
 
-def loop_bases() -> dict:
+def loop_bases(product=direct_product) -> dict:
     """Groups of order 32 to 72 whose swapped intercalates give loops past
-    the single block of the associativity scan."""
+    the single block of the associativity scan, each built by ``product``
+    from two factors."""
     z2 = cyclic(2)
     z2_5 = z2
     for _ in range(4):
-        z2_5 = direct_product(z2_5, z2)
-    return {"z2^5": z2_5, "z2xz18": direct_product(z2, cyclic(18)),
-            "d4xq8": direct_product(dihedral_8(), quaternion_8()),
-            "s3xz2xz6": direct_product(direct_product(symmetric_3(), z2),
-                                       cyclic(6))}
+        z2_5 = product(z2_5, z2)
+    return {"z2^5": z2_5, "z2xz18": product(z2, cyclic(18)),
+            "d4xq8": product(dihedral_8(), quaternion_8()),
+            "s3xz2xz6": product(product(symmetric_3(), z2), cyclic(6))}
 
 
 def intercalates(g: FiniteGroup) -> np.ndarray:

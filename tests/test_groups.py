@@ -19,7 +19,7 @@ from ggx.groups import (SCAN_CHUNK, FiniteGroup, GroupAction,
                         split_extension_from_action, subgroup, symmetric_3,
                         validate_action, validate_group,
                         validate_split_extension)
-from ggx.report import DomainMismatchError, GgxError
+from ggx.report import DomainMismatchError, GgxError, proven
 from gen_witnesses import intercalates, loop_bases, swapped
 from reference_laws import entries
 
@@ -186,6 +186,41 @@ def test_semidirect_conjugation_has_square_order():
         k = semidirect_product(g, g, conjugation_action(g))
         assert k.order == g.order ** 2
         assert validate_group(k).ok
+
+
+def test_constructions_keep_a_report_only_when_their_inputs_prove_it():
+    z3, z2 = cyclic(3), cyclic(2)
+    act = negation_action(z2, z3)
+    assert not proven(validate_group, semidirect_product(z3, z2, act))
+    assert validate_action(act).ok
+    assert proven(validate_group, semidirect_product(z3, z2, act))
+    # a valid action of z2 on another group of order 3 is wired wrong
+    t3 = FiniteGroup("t3", ("a", "b", "c"), z3.table)
+    other = negation_action(z2, t3)
+    assert validate_action(other).ok
+    assert not proven(validate_group, semidirect_product(z3, z2, other))
+
+    z4 = cyclic(4)
+    assert not proven(validate_group, subgroup(z4, [0, 2])[0])
+    assert validate_group(z4).ok
+    assert proven(validate_group, subgroup(z4, [0, 2])[0])
+    empty, _ = subgroup(z4, [])
+    assert not proven(validate_group, empty)
+    assert validate_group(empty).axiom == "malformed"
+
+
+def test_a_product_with_colliding_pair_names_stays_malformed():
+    # ("0,1", "2") and ("0", "1,2") are both named "(0,1,2)"
+    v4 = klein_four().table
+    a = FiniteGroup("a", ("0", "1", "0,1", "0,2"), v4)
+    b = FiniteGroup("b", ("0", "1", "2", "1,2"), v4)
+    act = GroupAction.trivial(b, a)
+    assert validate_action(act).ok          # so a and b hold VALID too
+    k = semidirect_product(a, b, act)
+    assert not proven(validate_group, k)
+    rep = validate_group(k)
+    assert rep.axiom == "malformed"
+    assert rep.message == "element names are not distinct"
 
 
 def test_derived_action_of_conjugation_extension_is_conjugation():
