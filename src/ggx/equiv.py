@@ -84,8 +84,7 @@ def theta(xm: XModGG) -> DoubleGroupGroupoid:
     ``d0h(a,b) = b``, ``d1h(a,b) = bdry1(a) + b``, ``epsh(b) = (0,b)``; the
     ``(S,V)`` maps act componentwise; ``d0V(x,y) = y``,
     ``d1V(x,y) = bdry0(x) + y``, ``epsV(y) = (0,y)``.  The image keeps
-    ``H`` and the two group-groupoids built here as its ``(H,P)``,
-    ``(S,H)`` and ``(V,P)``, so their reports are shared.
+    ``H`` as its ``(H,P)``, so the two share one report.
     """
     G, H = xm.g, xm.h
     sh = gg_from_xmod(arrow_level(xm))          # (S, H)
@@ -100,9 +99,7 @@ def theta(xm: XModGG) -> DoubleGroupGroupoid:
         epsv=GroupHom(V, S, pair_map(G.eps.map, H.eps.map, nh)),
         d0H=H.d0, d1H=H.d1, epsH=H.eps,
         d0V=vp.d0, d1V=vp.d1, epsV=vp.eps)
-    keep(DoubleGroupGroupoid.gg_sh, d, sh)
     keep(DoubleGroupGroupoid.gg_hp, d, H)
-    keep(DoubleGroupGroupoid.gg_vp, d, vp)
     return d
 
 
