@@ -34,9 +34,8 @@ import numpy as np
 
 from .groups import (FiniteGroup, GroupAction, GroupHom, compose,
                      conjugation_through, hom_restrict, kernel, pair_map,
-                     read_back, sd_index)
-from .groupoids import (GGMorphism, GroupGroupoid, gg_from_xmod,
-                        object_action, splitting_map)
+                     pull_back, read_back, sd_index)
+from .groupoids import GGMorphism, GroupGroupoid, gg_from_xmod, splitting_map
 from .morphism import bijective, identity
 from .report import ValidationReport, keep, once_per_value
 from .dgg import DGGMorphism, DoubleGroupGroupoid, validate_dgg_morphism
@@ -206,7 +205,7 @@ def delta(xm: XModGG) -> CrossedSquare:
     return CrossedSquare(L, M, N, P, lam, compose(incL, G.d1),
                          compose(incM, H.d1), xm.boundary_objects,
                          act_p_on_l, conjugation_through(H.eps, incM),
-                         object_action(xm.action, G, H), hmap)
+                         xm.obj_action(), hmap)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +220,7 @@ def eta(xs: CrossedSquare) -> XModGG:
     L, M, N, P = xs.l, xs.m, xs.n, xs.p
     PL, PN = xs.act_p_on_l.perms, xs.act_p_on_n.perms
     Ggg = gg_from_xmod(XModGroups(L, N, xs.lam_prime,
-                                  GroupAction(N, L, PL[xs.nu.map])))
+                                  pull_back(xs.act_p_on_l, xs.nu)))
     Hgg = gg_from_xmod(XModGroups(M, P, xs.mu, xs.act_p_on_m))
     bd1 = GroupHom(Ggg.arrows, Hgg.arrows,
                    pair_map(xs.lam.map, xs.nu.map, P.order))

@@ -22,9 +22,9 @@ Conventions used by the whole package:
   run at most once per value: each keeps its report on the value it
   checked, as :attr:`FiniteGroup.inverse` is kept once computed.  A hom
   checks its domain and codomain, and an action its actor and target,
-  before its own laws.  :func:`kernel` is kept on its hom the same way,
-  and :func:`subgroup` and :func:`semidirect_product` keep ``VALID`` on
-  what they build when their inputs' reports prove it a group.
+  before its own laws.  :func:`kernel` is kept on its hom the same way.
+  Constructions keep ``VALID`` on the groups, homs and actions they build
+  when their inputs' reports prove it (:func:`built`).
 """
 
 from __future__ import annotations
@@ -301,11 +301,12 @@ class GroupHom(IndexArrays):
 
     @staticmethod
     def identity(g: FiniteGroup) -> "GroupHom":
-        return GroupHom(g, g, np.arange(g.order))
+        return built(GroupHom(g, g, np.arange(g.order)), g)
 
     @staticmethod
     def zero(domain: FiniteGroup, codomain: FiniteGroup) -> "GroupHom":
-        return GroupHom(domain, codomain, np.full(domain.order, codomain.zero))
+        zeros = np.full(domain.order, codomain.zero)
+        return built(GroupHom(domain, codomain, zeros), domain, codomain)
 
     def __call__(self, i: int) -> int:
         return self.map[i]
@@ -344,27 +345,25 @@ def compose(f: GroupHom, g: GroupHom) -> GroupHom:
     if f.codomain != g.domain:
         raise DomainMismatchError(
             f"cannot compose {f!r} with {g!r}: codomain/domain differ")
-    return GroupHom(f.domain, g.codomain, g.map[f.map])
+    return built(GroupHom(f.domain, g.codomain, g.map[f.map]), f, g)
 
 
 def subgroup(g: FiniteGroup, indices, name: str | None = None):
     """The subgroup on ``indices``, as a group plus its inclusion hom.
 
     Raises if the subset is not closed under the operation.  A non-empty
-    closed subset of a group is a group, so the subgroup keeps a ``VALID``
-    report when ``g`` already holds one.
+    closed subset of a group is a group, so the subgroup and its inclusion
+    keep a ``VALID`` report when ``g`` already holds one.
     """
     inside = members(g.order, indices)
     idxs = np.flatnonzero(inside)
     sums = g.table[idxs[:, None], idxs]
     require(inside[sums], f"subset of {g.name!r} not closed under +",
             idxs, idxs)
-    sub = FiniteGroup(name or f"sub[{g.name}]",
-                      tuple(g.elements[i] for i in idxs),
-                      np.searchsorted(idxs, sums))
-    if len(idxs) and proven(validate_group, g):
-        keep(validate_group, sub, VALID)
-    return sub, GroupHom(sub, g, idxs)
+    sub = built(FiniteGroup(name or f"sub[{g.name}]",
+                            tuple(g.elements[i] for i in idxs),
+                            np.searchsorted(idxs, sums)), g, ok=len(idxs) > 0)
+    return sub, built(GroupHom(sub, g, idxs), sub, g)
 
 
 def read_back(values, incl: GroupHom, message: str) -> np.ndarray:
@@ -407,10 +406,11 @@ def is_isomorphism(f: GroupHom) -> bool:
 
 def hom_restrict(f: GroupHom, dom_incl: GroupHom, cod_incl: GroupHom) -> GroupHom:
     """Restrict ``f`` along subgroup inclusions on both sides."""
-    return GroupHom(dom_incl.domain, cod_incl.domain,
-                    read_back(f.map[dom_incl.map], cod_incl,
-                              "restriction does not land in the codomain "
-                              "subgroup"))
+    r = read_back(f.map[dom_incl.map], cod_incl,
+                  "restriction does not land in the codomain subgroup")
+    ok = dom_incl.codomain == f.domain and cod_incl.codomain == f.codomain
+    return built(GroupHom(dom_incl.domain, cod_incl.domain, r),
+                 f, dom_incl, cod_incl, ok=ok and is_injective(cod_incl))
 
 
 # ---------------------------------------------------------------------------
@@ -480,6 +480,19 @@ def validate_action(act: GroupAction) -> ValidationReport:
         TA[P[:, :, None], P[:, None, :]])          # b.a + b.a'
 
 
+_VALIDATOR = {FiniteGroup: validate_group, GroupHom: validate_hom,
+              GroupAction: validate_action}
+
+
+def built(value, *parts, ok: bool = True):
+    """``value``, keeping ``VALID`` on it when ``ok`` and every part holds
+    a passing report: ``value`` is valid by a proof in "Groups that
+    constructions build" (``docs/format.md``).  Reads held reports only."""
+    if ok and all(proven(_VALIDATOR[type(p)], p) for p in parts):
+        keep(_VALIDATOR[type(value)], value, VALID)
+    return value
+
+
 def conjugation_through(v: GroupHom, incl: GroupHom) -> GroupAction:
     """The action ``x . k = v(x) + i(k) - v(x)`` of the domain of ``v`` on
     the domain of the inclusion ``i = incl``, both maps landing in the same
@@ -490,8 +503,16 @@ def conjugation_through(v: GroupHom, incl: GroupHom) -> GroupAction:
     tbl, vm = v.codomain.table, v.map
     conj = tbl[tbl[vm[:, None], incl.map[None, :]],
                v.codomain.inverse[vm][:, None]]
-    return GroupAction(v.domain, incl.domain, read_back(
-        conj, incl, "a conjugate of a subgroup element left the subgroup"))
+    return built(GroupAction(v.domain, incl.domain, read_back(
+        conj, incl, "a conjugate of a subgroup element left the subgroup")),
+        v, incl, ok=v.codomain == incl.codomain and is_injective(incl))
+
+
+def pull_back(act: GroupAction, f: GroupHom) -> GroupAction:
+    """The action ``x . a = f(x) . a`` of the domain of ``f`` through the
+    action ``act`` of its codomain."""
+    return built(GroupAction(f.domain, act.target, act.perms[f.map]),
+                 act, f, ok=f.codomain == act.actor)
 
 
 def conjugates(g: FiniteGroup, idx) -> np.ndarray:
@@ -540,9 +561,9 @@ def semidirect_product(a: FiniteGroup, b: FiniteGroup, act: GroupAction,
     names = tuple(f"({x},{y})" for x in a.elements for y in b.elements)
     k = FiniteGroup(name or f"({a.name})x({b.name})", names,
                     sd_index(nb, apart, bpart))
-    if proven(validate_action, act) and act.actor == b and \
-            act.target == a and len(set(names)) == len(names):
-        keep(validate_group, k, VALID)
+    ok = act.actor == b and act.target == a and len(set(names)) == len(names)
+    if proven(validate_group, built(k, act, ok=ok)):
+        k.__dict__["_factors"] = (a, b)         # read by split_maps
     return k
 
 
@@ -554,11 +575,12 @@ def direct_product(a: FiniteGroup, b: FiniteGroup,
 def split_maps(a: FiniteGroup, b: FiniteGroup, k: FiniteGroup):
     """The inclusion ``x -> (x, 0)``, projection ``(x, y) -> y`` and
     section ``y -> (0, y)`` of a semidirect product ``k`` of ``a`` by
-    ``b``."""
-    nb = b.order
-    return (GroupHom(a, k, sd_index(nb, np.arange(a.order), b.zero)),
-            GroupHom(k, b, np.arange(k.order) % nb),
-            GroupHom(b, k, sd_index(nb, a.zero, np.arange(nb))))
+    ``b``, valid when ``semidirect_product`` built ``k`` valid from them."""
+    nb, ok = b.order, k.__dict__.get("_factors") == (a, b)
+    return tuple(built(f, ok=ok) for f in (
+        GroupHom(a, k, sd_index(nb, np.arange(a.order), b.zero)),
+        GroupHom(k, b, np.arange(k.order) % nb),
+        GroupHom(b, k, sd_index(nb, a.zero, np.arange(nb)))))
 
 
 @dataclass(frozen=True)

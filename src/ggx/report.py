@@ -7,10 +7,11 @@ reports the first violation in row-major order over the quantified
 variables, so the reported witness is deterministic.  Validators of the
 basic values (groups, homomorphisms, actions, group-groupoids) are wrapped
 in :func:`once_per_value`, which keeps the report on the checked value; the
-same wrapper keeps other derived values, such as a kernel or a functor
-image, on the value they are derived from.  A construction that can prove
-a report without computing it keeps it with :func:`keep`, reading only the
-reports its inputs already hold (:func:`proven`).
+same wrapper keeps other derived values, such as a kernel, a functor
+image or a crossed module's object action, on the value they are derived
+from.  A construction that builds a group, hom or action from parts whose
+held reports prove it valid keeps ``VALID`` on it with :func:`keep`,
+reading only those reports (:func:`proven`), never running a validator.
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ with the groupoid structure:
 * acting commutes with composition whenever both sides are defined,
 
 and whose arrow level ``(arrows G, arrows H, bdry1, action)`` is a crossed
-module of groups.  The object-level action is not stored; it is always
-derived as ``y . x = d0(eps(y) . eps(x))``.
+module of groups.  The object-level action is not stored; it is derived as
+``y . x = d0(eps(y) . eps(x))``, once per crossed module
+(:meth:`XModGG.obj_action`).
 """
 
 from __future__ import annotations
@@ -28,14 +29,15 @@ import numpy as np
 
 from .groups import (SCAN_CHUNK, FiniteGroup, GroupAction, GroupHom,
                      conjugates, conjugation_action, conjugation_through,
-                     hom_restrict, members, pair_map, require, sd_index,
-                     subgroup, validate_action, validate_group, validate_hom)
+                     hom_restrict, members, pair_map, pull_back, require,
+                     sd_index, subgroup, validate_action, validate_group,
+                     validate_hom)
 from .groupoids import (GGMorphism, GroupGroupoid, discrete_gg, inverse_map,
                         object_action, pair_gg, trivial_gg,
                         validate_gg_morphism, validate_group_groupoid)
 from .morphism import Component, Law, square, validate
 from .report import (VALID, GgxError, ValidationReport, fail,
-                     first_violation, nested)
+                     first_violation, nested, once_per_value)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +131,11 @@ class XModGG:
         return GGMorphism(self.g, self.h, self.boundary_arrows,
                           self.boundary_objects)
 
+    @once_per_value
+    def obj_action(self) -> GroupAction:
+        """The derived object action, built once per value."""
+        return object_action(self.action, self.g, self.h)
+
 
 def arrow_level(xm: XModGG) -> XModGroups:
     """The crossed module of groups on the arrow groups."""
@@ -154,22 +161,26 @@ def validate_xmod_gg(xm: XModGG) -> ValidationReport:
     rep = validate_action(xm.action)
     if not rep.ok:
         return nested("action", rep)
-    rep = validate_action_compatibility(xm.g, xm.h, xm.action)
+    rep = validate_action_compatibility(xm.g, xm.h, xm.action,
+                                        xm.obj_action())
     if not rep.ok:
         return rep
     return validate_xmod_groups(arrow_level(xm))  # CM1 / CM2 tags unchanged
 
 
 def validate_action_compatibility(G: GroupGroupoid, H: GroupGroupoid,
-                                  action: GroupAction) -> ValidationReport:
+                                  action: GroupAction,
+                                  obj_act=None) -> ValidationReport:
     """The boundary-independent half of :func:`validate_xmod_gg`, for an
     action of the arrows of ``H`` on the arrows of ``G`` by automorphisms.
 
     Scan order: the derived object action, the four action/groupoid
     compatibility laws (sources, targets, identities, inverses), then the
-    action/composition interchange.
+    action/composition interchange.  The derived object action is built
+    here unless given as ``obj_act``: :func:`validate_xmod_gg` gives the one
+    its crossed module keeps, so ``theta`` and ``delta`` reuse its report.
     """
-    obj_act = object_action(action, G, H)
+    obj_act = obj_act or object_action(action, G, H)
     rep = validate_action(obj_act)
     if not rep.ok:
         return nested("object-action", rep)
@@ -233,19 +244,16 @@ def induced_actions(xm: XModGG) -> tuple[GroupAction, GroupAction, GroupAction]:
     * objects of H on arrows of G:   ``y . a = eps(y) . a``
     * arrows of H on objects of G:   ``b . x = d1(b) . x``
     """
-    obj_on_obj = object_action(xm.action, xm.g, xm.h)
-    return (obj_on_obj,
-            GroupAction(xm.h.objects, xm.g.arrows,
-                        xm.action.perms[xm.h.eps.map]),
-            GroupAction(xm.h.arrows, xm.g.objects,
-                        obj_on_obj.perms[xm.h.d1.map]))
+    obj_on_obj = xm.obj_action()
+    return (obj_on_obj, pull_back(xm.action, xm.h.eps),
+            pull_back(obj_on_obj, xm.h.d1))
 
 
 def object_level_xmod(xm: XModGG) -> XModGroups:
     """The object-level crossed module ``(G0, H0, bdry0)`` with the derived
     object action."""
     return XModGroups(xm.g.objects, xm.h.objects, xm.boundary_objects,
-                      object_action(xm.action, xm.g, xm.h))
+                      xm.obj_action())
 
 
 # ---------------------------------------------------------------------------
